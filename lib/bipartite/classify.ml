@@ -21,22 +21,11 @@ type recommendation =
   | Pseudo_steiner_both
   | Exact_search_only
 
-(* The recognizer families all consume the witness hypergraphs H¹/H²
-   (or their two-sections), so those are materialised exactly once and
-   shared by every check; the old path rebuilt H¹ five times per
-   profile and re-ran the γ/β recognizers inside [Acyclicity.degree].
-   The checks themselves are independent boolean facts over immutable
-   structures, which is what lets a pool fan them out; the degrees are
-   then derived from the per-level verdicts by the same first-match
-   rule as [Acyclicity.degree]. *)
-let derive_degree ~berge ~gamma ~beta ~alpha =
-  if berge then Acyclicity.Berge_acyclic
-  else if gamma then Acyclicity.Gamma_acyclic
-  else if beta then Acyclicity.Beta_acyclic
-  else if alpha then Acyclicity.Alpha_acyclic
-  else Acyclicity.Cyclic
-
-let profile ?pool ?(trace = Observe.Trace.disabled) g =
+(* Only the checks the paper leaves open are run; classify.mli names
+   the theorem behind each derived field. The differential suite in
+   test/test_classify.ml pins the result against the full
+   thirteen-check reading kept in test/classify_oracle.ml. *)
+let profile ?(trace = Observe.Trace.disabled) g =
   Observe.Trace.span trace "classify"
     ~attrs:
       [
@@ -44,58 +33,53 @@ let profile ?pool ?(trace = Observe.Trace.disabled) g =
         ("nr", Observe.Trace.Int (Bigraph.nr g));
       ]
     (fun () ->
-      let h1 = Side_properties.hypergraph_of_witness_side g Bigraph.V2 in
-      let h2 = Side_properties.hypergraph_of_witness_side g Bigraph.V1 in
-      let ts1 = Hypergraph.two_section h1 in
-      let ts2 = Hypergraph.two_section h2 in
-      let tasks =
-        [|
-          ("classify.chordal_41", fun () -> Mn_chordality.is_41_chordal g);
-          ("classify.chordal_62", fun () -> Gamma.acyclic h1);
-          ("classify.chordal_61", fun () -> Beta.acyclic h1);
-          ("classify.h1.chordal", fun () -> Graphs.Chordal.is_chordal ts1);
-          ("classify.h1.conformal", fun () -> Conformal.is_conformal h1);
-          ("classify.h1.alpha", fun () -> Gyo.alpha_acyclic h1);
-          ("classify.h1.berge", fun () -> Berge.acyclic h1);
-          ("classify.h2.chordal", fun () -> Graphs.Chordal.is_chordal ts2);
-          ("classify.h2.conformal", fun () -> Conformal.is_conformal h2);
-          ("classify.h2.alpha", fun () -> Gyo.alpha_acyclic h2);
-          ("classify.h2.berge", fun () -> Berge.acyclic h2);
-          ("classify.h2.gamma", fun () -> Gamma.acyclic h2);
-          ("classify.h2.beta", fun () -> Beta.acyclic h2);
-        |]
+      let check name f = Observe.Trace.span trace ("classify." ^ name) f in
+      let witness side =
+        lazy (Side_properties.hypergraph_of_witness_side g side)
       in
-      let verdicts =
-        match pool with
-        | Some p when Parallel.Pool.domains p > 1 ->
-          let forks = Array.map (fun _ -> Observe.Trace.fork trace) tasks in
-          let out =
-            Parallel.Pool.mapi_worker p
-              (fun ~worker:_ ~index (name, f) ->
-                Observe.Trace.span forks.(index) name f)
-              tasks
+      let h1 = witness Bigraph.V2 in
+      let chordal_41 =
+        check "chordal_41" (fun () -> Mn_chordality.is_41_chordal g)
+      in
+      let chordal_62 =
+        chordal_41
+        || check "chordal_62" (fun () -> Gamma.acyclic (Lazy.force h1))
+      in
+      let chordal_61 =
+        chordal_62
+        || check "chordal_61" (fun () -> Beta.acyclic (Lazy.force h1))
+      in
+      (* (alpha, chordal, conformal) of one witness side. *)
+      let side name h =
+        if chordal_61 then (true, true, true)
+        else
+          let h = Lazy.force h in
+          let alpha =
+            check (name ^ ".alpha") (fun () -> Gyo.alpha_acyclic h)
           in
-          Array.iter (Observe.Trace.merge trace) forks;
-          out
-        | _ ->
-          Array.map (fun (name, f) -> Observe.Trace.span trace name f) tasks
+          let chordal =
+            alpha
+            || check (name ^ ".chordal") (fun () ->
+                   Graphs.Chordal.is_chordal (Hypergraph.two_section h))
+          in
+          let conformal =
+            alpha
+            || (not chordal)
+               && check (name ^ ".conformal") (fun () ->
+                      Conformal.is_conformal h)
+          in
+          (alpha, chordal, conformal)
       in
-      let chordal_41 = verdicts.(0) in
-      let chordal_62 = verdicts.(1) in
-      let chordal_61 = verdicts.(2) in
-      let v2_chordal = verdicts.(3) in
-      let v2_conformal = verdicts.(4) in
-      let alpha_h1 = verdicts.(5) in
-      let v1_chordal = verdicts.(7) in
-      let v1_conformal = verdicts.(8) in
-      let alpha_h2 = verdicts.(9) in
-      let degree_h1 =
-        derive_degree ~berge:verdicts.(6) ~gamma:chordal_62 ~beta:chordal_61
-          ~alpha:alpha_h1
+      let alpha_h1, v2_chordal, v2_conformal = side "h1" h1 in
+      let alpha_h2, v1_chordal, v1_conformal =
+        side "h2" (witness Bigraph.V1)
       in
-      let degree_h2 =
-        derive_degree ~berge:verdicts.(10) ~gamma:verdicts.(11)
-          ~beta:verdicts.(12) ~alpha:alpha_h2
+      let degree alpha =
+        if chordal_41 then Acyclicity.Berge_acyclic
+        else if chordal_62 then Acyclicity.Gamma_acyclic
+        else if chordal_61 then Acyclicity.Beta_acyclic
+        else if alpha then Acyclicity.Alpha_acyclic
+        else Acyclicity.Cyclic
       in
       Observe.Trace.add_attr trace "chordal_41" (Observe.Trace.Bool chordal_41);
       Observe.Trace.add_attr trace "chordal_62" (Observe.Trace.Bool chordal_62);
@@ -110,8 +94,8 @@ let profile ?pool ?(trace = Observe.Trace.disabled) g =
         v1_conformal;
         alpha_h1;
         alpha_h2;
-        degree_h1;
-        degree_h2;
+        degree_h1 = degree alpha_h1;
+        degree_h2 = degree alpha_h2;
       })
 
 (* Every recognizer in the profile is component-local: cycles, cliques,

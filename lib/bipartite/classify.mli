@@ -34,17 +34,24 @@ type recommendation =
       (** no structure: fall back to exponential exact search or the
           MST approximation. *)
 
-val profile :
-  ?pool:Parallel.Pool.t -> ?trace:Observe.Trace.t -> Bigraph.t -> profile
-(** The witness hypergraphs H¹/H² and their two-sections are built
-    once and shared by every recognizer. [pool] (default: run inline)
-    fans the independent per-side checks out as parallel tasks; the
-    resulting profile is identical for any pool size. [trace] (default
-    disabled) records a ["classify"] span with one child span per
-    recognizer and the headline chordality verdicts as attributes;
-    under a pool the child spans are recorded in per-task forks and
-    merged back in task order, so the trace shape is deterministic
-    too. *)
+val profile : ?trace:Observe.Trace.t -> Bigraph.t -> profile
+(** Runs at most nine recognizers and derives every other field:
+    - [chordal_41]: forest check;
+    - [chordal_62]: γ-acyclicity of H¹, only when not a forest;
+    - [chordal_61]: β-acyclicity of H¹, only when not (6,2)-chordal
+      (hierarchy (4,1) ⊆ (6,2) ⊆ (6,1));
+    - [degree_h1]/[degree_h2]: Berge/γ/β levels from the three verdicts
+      above on both sides, since those levels are self-dual
+      (Corollary 1);
+    - side fields all [true] when (6,1)-chordal (Corollary 2);
+      otherwise per side GYO α-acyclicity, then chordality of the
+      two-section unless α, then conformality only if neither α nor
+      chordal (α ⇔ chordal ∧ conformal, Theorem 1 (v)/(vi)).
+    H¹, H² and the two-sections are built only when a check needs
+    them. [trace] (default disabled) records a ["classify"] span with
+    one child span per recognizer that ran ([classify.chordal_41],
+    [classify.h2.conformal], ...) and the headline chordality verdicts
+    as attributes. *)
 
 val neutral : profile
 (** The profile of the empty graph — identity of {!combine}: every

@@ -100,8 +100,12 @@ let solve_min_relations g ~p =
         (Errors.Invalid_instance
            "scheme is not alpha-acyclic (V2-chordal V2-conformal)")
 
+(* The plan's profile combines per-component profiles, which equals the
+   whole-graph profile (Classify.combine) while running each recognizer
+   on one component only — on a large disjoint schema the whole-graph
+   γ check alone would take minutes. *)
 let report g =
-  let profile = Classify.profile g in
+  let profile = Compiled.profile (Compiled.compile g) in
   Format.asprintf "%a@.recommendation: %s@." Classify.pp_profile profile
     (Classify.recommendation_name (Classify.recommend profile))
 

@@ -92,7 +92,7 @@ let of_bytes s =
    whole graph. The component profile is computed on the materialised
    induced sub-bigraph (identical to the graph itself when the graph
    is connected, so the single-component fast path pays no copy). *)
-let prep_component ?pool tr graph nodes =
+let prep_component tr graph nodes =
   let sub =
     if Iset.cardinal nodes = Bigraph.n graph then graph
     else fst (Bigraph.induced graph nodes)
@@ -103,14 +103,13 @@ let prep_component ?pool tr graph nodes =
        when no order is supplied, so session answers match the
        one-shot path node for node. *)
     order = Iset.elements nodes;
-    cprofile = Classify.profile ?pool ~trace:tr sub;
+    cprofile = Classify.profile ~trace:tr sub;
     alg1_prep = Steiner.Algorithm1.prepare ~trace:tr graph ~comp:nodes;
   }
 
-(* Per-component prep with the same fan-out contract as before: one
-   task per component when there are several, otherwise the pool goes
-   to the classifier's independent checks. Per-task trace forks are
-   merged in component order to keep ids stable. *)
+(* Per-component prep: one pool task per component when there are
+   several, otherwise inline. Per-task trace forks are merged in
+   component order to keep ids stable. *)
 let build_components ?pool ~trace graph comps =
   match pool with
   | Some p when Parallel.Pool.domains p > 1 && Array.length comps > 1 ->
@@ -122,7 +121,7 @@ let build_components ?pool ~trace graph comps =
     in
     Array.iter (Observe.Trace.merge trace) forks;
     out
-  | _ -> Array.map (prep_component ?pool trace graph) comps
+  | _ -> Array.map (prep_component trace graph) comps
 
 let compile ?pool ?(trace = Observe.Trace.disabled)
     ?(metrics = Observe.Metrics.disabled) graph =

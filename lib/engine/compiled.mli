@@ -46,9 +46,9 @@ val compile :
   Bigraph.t ->
   t
 (** One-time schema compilation. [pool] (default: inline) fans the
-    classifier's independent checks and the per-component
-    ordering/join-tree prep out across domains; the compiled plan is
-    identical for any pool size. [trace] records a ["compile"] span
+    per-component prep (classification, ordering, join-tree) out
+    across domains when there are several components; the compiled
+    plan is identical for any pool size. [trace] records a ["compile"] span
     with the classifier's spans, ["compile.components"] and
     ["compile.orderings"] children, and a [components] count attribute;
     [metrics] bumps the [engine.compiles] counter. Compilation performs

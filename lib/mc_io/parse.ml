@@ -121,11 +121,11 @@ let bigraph_of_string_unguarded text =
     let rec consume = function
       | [] -> Ok ()
       | (i, cs, "left" :: names) :: rest ->
-        left := !left @ names;
+        left := List.rev_append names !left;
         if names = [] then err i (col_at cs 0) "'left' line with no names"
         else consume rest
       | (i, cs, "right" :: names) :: rest ->
-        right := !right @ names;
+        right := List.rev_append names !right;
         if names = [] then err i (col_at cs 0) "'right' line with no names"
         else consume rest
       | (i, cs, [ "edge"; a; b ]) :: rest ->
@@ -138,30 +138,39 @@ let bigraph_of_string_unguarded text =
     (match consume lines with
     | Error e -> Error e
     | Ok () ->
+      let left = List.rev !left and right = List.rev !right in
       let dup l = List.length (List.sort_uniq compare l) <> List.length l in
-      if dup !left || dup !right || dup (!left @ !right) then
+      if dup left || dup right || dup (left @ right) then
         err 0 0 "duplicate node name"
       else begin
-        let left_names = Array.of_list !left in
-        let right_names = Array.of_list !right in
-        let rec build g = function
-          | [] -> Ok g
+        let left_names = Array.of_list left in
+        let right_names = Array.of_list right in
+        (* Hashed name lookup: a linear scan per edge endpoint is
+           quadratic on large schemas. *)
+        let index names =
+          let tbl = Hashtbl.create (Array.length names) in
+          Array.iteri (fun i name -> Hashtbl.replace tbl name i) names;
+          Hashtbl.find_opt tbl
+        in
+        let left_index = index left_names and right_index = index right_names in
+        let rec resolve acc = function
+          | [] -> Ok (List.rev acc)
           | (i, cs, a, b) :: rest -> (
-            match (index_of left_names a, index_of right_names b) with
-            | Some la, Some rb ->
-              build (Bipartite.Bigraph.add_edge g la rb) rest
+            match (left_index a, right_index b) with
+            | Some la, Some rb -> resolve ((la, rb) :: acc) rest
             | None, _ -> err i (col_at cs 1) "unknown left node '%s'" a
             | _, None -> err i (col_at cs 2) "unknown right node '%s'" b)
         in
-        match
-          build
-            (Bipartite.Bigraph.create
-               ~nl:(Array.length left_names)
-               ~nr:(Array.length right_names))
-            (List.rev !edges)
-        with
+        match resolve [] (List.rev !edges) with
         | Error e -> Error e
-        | Ok graph -> Ok { graph; left_names; right_names }
+        | Ok pairs ->
+          let graph =
+            Bipartite.Bigraph.of_edges
+              ~nl:(Array.length left_names)
+              ~nr:(Array.length right_names)
+              pairs
+          in
+          Ok { graph; left_names; right_names }
       end)
 
 let schema_of_string_unguarded text =
@@ -419,13 +428,32 @@ let name_set nb names =
   in
   go Iset.empty names
 
+(* Names go on repeated [left]/[right] lines of at most
+   [names_line_bytes] (a longer single name gets a line of its own), so
+   a printed graph of any size stays under [max_line_bytes] per line
+   and parses back. *)
+let names_line_bytes = 4096
+
+let add_name_lines buf directive names =
+  let len = ref (-1) in
+  Array.iter
+    (fun name ->
+      if !len < 0 || !len + 1 + String.length name > names_line_bytes then begin
+        if !len >= 0 then Buffer.add_char buf '\n';
+        Buffer.add_string buf directive;
+        len := String.length directive
+      end;
+      Buffer.add_char buf ' ';
+      Buffer.add_string buf name;
+      len := !len + 1 + String.length name)
+    names;
+  if !len >= 0 then Buffer.add_char buf '\n'
+
 let bigraph_to_string nb =
   let buf = Buffer.create 256 in
   Buffer.add_string buf "bipartite\n";
-  Buffer.add_string buf
-    ("left " ^ String.concat " " (Array.to_list nb.left_names) ^ "\n");
-  Buffer.add_string buf
-    ("right " ^ String.concat " " (Array.to_list nb.right_names) ^ "\n");
+  add_name_lines buf "left" nb.left_names;
+  add_name_lines buf "right" nb.right_names;
   List.iter
     (fun (i, j) ->
       Buffer.add_string buf

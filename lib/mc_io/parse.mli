@@ -112,6 +112,9 @@ val name_set : named_bigraph -> string list -> (Iset.t, string) result
     first unknown one. *)
 
 val bigraph_to_string : named_bigraph -> string
+(** Inverse of {!bigraph_of_string}. Names are spread over repeated
+    [left]/[right] lines of at most 4 KiB each, so the output parses
+    back at any size. *)
 
 val schema_to_string : Datamodel.Schema.t -> string
 

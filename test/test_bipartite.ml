@@ -243,7 +243,7 @@ let qcheck_cases =
         && Side_properties.alpha_side g Bigraph.V2);
     QCheck2.Test.make ~count:150 ~name:"full profile is Theorem-1 consistent"
       small_bipartite_gen (fun g ->
-        Classify.theorem1_consistent (Classify.profile g));
+        Classify.theorem1_consistent (Classify_oracle.profile g));
     QCheck2.Test.make ~count:150
       ~name:"generated (6,2) bipartite instances are (6,2)"
       QCheck2.Gen.(int_range 0 5000)

@@ -63,6 +63,15 @@ let test_exit_budget_exhausted () =
   check_int "--no-degrade surfaces exhaustion" 5
     (run ("solve " ^ f ^ " -t A,C --fuel 2 --no-degrade"))
 
+(* Regression: a generated schema this large used to print name lines
+   over the parser's line cap, so `classify` rejected the file. *)
+let test_generate_large_classifies () =
+  check_int "generate writes the schema" 0
+    (Sys.command
+       (cli
+      ^ " generate --class scale-forest --size 20000 > cli_scale20k.bigraph"));
+  check_int "classify reads it back" 0 (run "classify cli_scale20k.bigraph")
+
 (* ------------------------------------------------ batch --queries *)
 
 (* The batch exit code is the most severe per-query code; option
@@ -318,6 +327,8 @@ let () =
           Alcotest.test_case "3 no cover" `Quick test_exit_no_cover;
           Alcotest.test_case "4 input error" `Quick test_exit_input_error;
           Alcotest.test_case "5 exhausted" `Quick test_exit_budget_exhausted;
+          Alcotest.test_case "large generated schema" `Quick
+            test_generate_large_classifies;
         ] );
       ( "batch",
         [

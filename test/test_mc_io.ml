@@ -40,6 +40,39 @@ let test_round_trip () =
         && nb.Mc_io.Parse.right_names = nb2.Mc_io.Parse.right_names)
     | Error e -> Alcotest.failf "reparse error: %a" Mc_io.Parse.pp_error e)
 
+(* Regression: the printer used to put every name on one [left] and one
+   [right] line, so a graph past ~10k nodes per side printed lines over
+   [max_line_bytes] that its own parser rejected. *)
+let test_large_round_trip () =
+  let graph =
+    Workloads.Gen_scale.to_bigraph
+      (Workloads.Gen_scale.make Workloads.Gen_scale.Forest ~target_n:20_000
+         ~seed:1)
+  in
+  check "at least 20k nodes" true (Bipartite.Bigraph.n graph >= 20_000);
+  let nb =
+    {
+      Mc_io.Parse.graph;
+      left_names =
+        Array.init (Bipartite.Bigraph.nl graph) (Printf.sprintf "a%d");
+      right_names =
+        Array.init (Bipartite.Bigraph.nr graph) (Printf.sprintf "r%d");
+    }
+  in
+  let printed = Mc_io.Parse.bigraph_to_string nb in
+  check "every printed line fits the parser's cap" true
+    (List.for_all
+       (fun l -> String.length l <= Mc_io.Parse.max_line_bytes)
+       (String.split_on_char '\n' printed));
+  match Mc_io.Parse.bigraph_of_string printed with
+  | Ok nb2 ->
+    check "large round trip preserves the graph" true
+      (Bipartite.Bigraph.equal graph nb2.Mc_io.Parse.graph);
+    check "large round trip preserves the names" true
+      (nb.Mc_io.Parse.left_names = nb2.Mc_io.Parse.left_names
+      && nb.Mc_io.Parse.right_names = nb2.Mc_io.Parse.right_names)
+  | Error e -> Alcotest.failf "reparse error: %a" Mc_io.Parse.pp_error e
+
 let expect_error text expected_substring =
   match Mc_io.Parse.bigraph_of_string text with
   | Ok _ -> Alcotest.failf "expected a parse error (%s)" expected_substring
@@ -187,6 +220,7 @@ let () =
         [
           Alcotest.test_case "bigraph" `Quick test_parse_bigraph;
           Alcotest.test_case "round trip" `Quick test_round_trip;
+          Alcotest.test_case "large round trip" `Quick test_large_round_trip;
           Alcotest.test_case "errors" `Quick test_parse_errors;
           Alcotest.test_case "name set" `Quick test_name_set;
           Alcotest.test_case "schema" `Quick test_parse_schema;

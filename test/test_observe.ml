@@ -259,6 +259,38 @@ let test_solver_disabled_records_nothing () =
       (Trace.span_count Trace.disabled)
   | _ -> Alcotest.fail "fig2 is solvable"
 
+(* On a (6,2)-chordal schema the classifier settles every field from
+   the forest check and γ-acyclicity of H¹ (hierarchy, Corollaries 1
+   and 2): those two are the only recognizers it may run, and H² is
+   never examined. *)
+let test_classify_spans_chordal62 () =
+  let g =
+    Workloads.Gen_bipartite.chordal_62 (Workloads.Rng.make ~seed:11)
+      ~n_right:8 ~max_size:3
+  in
+  let tr = Trace.make () in
+  let c = Minconn.Compiled.compile ~trace:tr g in
+  let p = Minconn.Compiled.profile c in
+  check "schema is (6,2)- but not (4,1)-chordal" true
+    (p.Bipartite.Classify.chordal_62 && not p.Bipartite.Classify.chordal_41);
+  let spans = Trace.spans tr in
+  let classify = List.filter (fun s -> s.Trace.name = "classify") spans in
+  check_int "one classify span" 1 (List.length classify);
+  let parent = (List.hd classify).Trace.id in
+  let children =
+    List.filter_map
+      (fun s -> if s.Trace.parent = parent then Some s.Trace.name else None)
+      spans
+  in
+  check "only the forest and gamma checks ran" true
+    (children = [ "classify.chordal_41"; "classify.chordal_62" ]);
+  check "no H2 check anywhere in the trace" false
+    (List.exists
+       (fun s ->
+         String.length s.Trace.name >= 12
+         && String.sub s.Trace.name 0 12 = "classify.h2.")
+       spans)
+
 let () =
   Alcotest.run "observe"
     [
@@ -286,5 +318,10 @@ let () =
           Alcotest.test_case "ladder abandon" `Quick test_ladder_abandon_spans;
           Alcotest.test_case "disabled path" `Quick
             test_solver_disabled_records_nothing;
+        ] );
+      ( "classify",
+        [
+          Alcotest.test_case "chordal62 runs two checks" `Quick
+            test_classify_spans_chordal62;
         ] );
     ]
