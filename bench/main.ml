@@ -1977,9 +1977,12 @@ let evolve_section ~trials ~max_n ~json_path () =
      compile          — [Compiled.compile] off the cached CSR;
      query-first      — [Session.create] plus a query burst against a
        plan whose set-view cache is cold ([Bigraph.compact] resets the
-       cache without copying the CSR arrays), i.e. the one-off lazy
-       AVL-derivation cost the stream path defers to first use;
-     query-warm       — the same burst on a warm session.
+       cache without copying the CSR arrays); queries read only the CSR,
+       so this is session setup plus the burst, with no set view to
+       derive;
+     query-warm       — the same burst on a warm session; one ratio
+       line per family compares it at the top rung with the rung below
+       (must be <= 1.5: warm queries cost O(|component|)).
 
    Every row carries a [peak_heap_words] extra from [Gc.quick_stat] —
    the process heap high-water mark, monotone across rows, so within
@@ -1998,11 +2001,15 @@ let scale_families =
 let scale_section ~trials ~scale_max_n ~json_path () =
   header "scale: stream-to-CSR construction vs the set-based path";
   let ladder =
-    match List.filter (fun x -> x <= scale_max_n) [ 100_000; 1_000_000 ] with
+    match
+      List.filter (fun x -> x <= scale_max_n) [ 10_000; 100_000; 1_000_000 ]
+    with
     | [] -> [ max 1_000 scale_max_n ]
     | l -> l
   in
   let rows = ref [] in
+  (* (family, n, warm-burst ms) per rung, for the ratio lines. *)
+  let warm = ref [] in
   let peak () = float_of_int (Gc.quick_stat ()).Gc.top_heap_words in
   let entry ~family ~kind ~n ~m ~ms extras =
     let name, ns, base =
@@ -2095,14 +2102,35 @@ let scale_section ~trials ~scale_max_n ~json_path () =
           in
           entry ~family:fname ~kind:"query-first" ~n ~m ~ms:ms_first [];
           let s = Minconn.Session.create plan in
-          let ms_warm = time_mean ~trials (fun () -> run_queries s) in
+          (* A warm burst takes ~0.1 ms, too short to time once: at
+             least 3 trials of repeated 20 ms windows keep the ratio
+             line below out of timer noise. *)
+          let ms_warm =
+            time_mean ~trials:(max trials 3) (fun () -> run_queries s)
+          in
           entry ~family:fname ~kind:"query-warm" ~n ~m ~ms:ms_warm [];
+          warm := (fname, n, ms_warm) :: !warm;
           Printf.printf
             "%-9s n=%-8d m=%-8d direct=%.1fms compile=%.1fms first=%.1fms \
              warm=%.3fms\n\
              %!"
             fname n m ms_direct ms_compile ms_first ms_warm)
         ladder)
+    scale_families;
+  (* A warm query touches only the terminals' component, and blocks are
+     the same size at every rung: the burst must cost about the same at
+     the top rung as at the one below. *)
+  List.iter
+    (fun fam ->
+      let fname = Workloads.Gen_scale.family_name fam in
+      match List.filter (fun (f, _, _) -> f = fname) !warm with
+      | (_, n_top, top) :: (_, n_below, below) :: _ ->
+        let ratio = if below > 0.0 then top /. below else 1.0 in
+        Printf.printf
+          "-- %-9s warm query n=%d/n=%d = %.2f (must be <= 1.5)%s\n" fname
+          n_top n_below ratio
+          (if ratio <= 1.5 then "" else "  NOT COMPONENT-LOCAL")
+      | _ -> ())
     scale_families;
   write_bench_json ~section:"scale" ~trials ~max_n:scale_max_n ~path:json_path
     !rows

@@ -189,38 +189,43 @@ let edges g =
   iter_edges g (fun i j -> acc := (i, j) :: !acc);
   List.rev !acc
 
-let rebuild ~nl ~nr ~old_edges ~extra =
-  (* Builder pass over the remapped edge list: O(n + m), the price of
-     keeping the graph value immutable.  [old_edges] yields surviving
-     edges of the old graph already remapped to the new index space,
-     as underlying-index pairs. *)
-  let b = Ugraph.Builder.create (nl + nr) in
-  List.iter (fun (x, y) -> Ugraph.Builder.add_edge b x y) old_edges;
-  List.iter (fun (x, y) -> Ugraph.Builder.add_edge b x y) extra;
-  of_set ~nl ~nr (Ugraph.Builder.build b)
-
+(* Rights live at the top of the index space, so appending a relation
+   (at underlying index [nl + nr]) or removing the last one moves no
+   other index: every other adjacency row is shared and only the rows
+   of the relation's attributes change, O(n + |attrs| log n). *)
 let add_relation g attrs =
   Iset.iter (fun i -> check_left g i) attrs;
-  (* Rights live at the top of the index space, so a fresh relation
-     appends at underlying index [nl + nr]: no existing index moves. *)
+  let u = ugraph g in
   let v = g.nl + g.nr in
-  rebuild ~nl:g.nl ~nr:(g.nr + 1)
-    ~old_edges:(Ugraph.edges (ugraph g))
-    ~extra:(List.map (fun i -> (i, v)) (Iset.elements attrs))
+  let adj =
+    Array.init (v + 1) (fun x -> if x = v then attrs else Ugraph.neighbors u x)
+  in
+  Iset.iter (fun i -> adj.(i) <- Iset.add v adj.(i)) attrs;
+  of_set ~nl:g.nl ~nr:(g.nr + 1)
+    (Ugraph.of_adjacency adj ~m:(Ugraph.m u + Iset.cardinal attrs))
 
 let remove_relation g j =
   check_right g j;
   let v = g.nl + j in
-  (* Underlying indices above [v] shift down by one; for the last
-     relation ([j = nr - 1]) the remap is the identity. *)
-  let remap x = if x > v then x - 1 else x in
-  let old_edges =
-    List.filter_map
+  if j = g.nr - 1 then begin
+    let u = ugraph g in
+    let attrs = Ugraph.neighbors u v in
+    let adj = Array.init v (Ugraph.neighbors u) in
+    Iset.iter (fun i -> adj.(i) <- Iset.remove v adj.(i)) attrs;
+    of_set ~nl:g.nl ~nr:j
+      (Ugraph.of_adjacency adj ~m:(Ugraph.m u - Iset.cardinal attrs))
+  end
+  else begin
+    (* Underlying indices above [v] shift down by one: rebuild from the
+       remapped edge list, O(n + m). *)
+    let remap x = if x > v then x - 1 else x in
+    let b = Ugraph.Builder.create (g.nl + g.nr - 1) in
+    List.iter
       (fun (x, y) ->
-        if x = v || y = v then None else Some (remap x, remap y))
-      (Ugraph.edges (ugraph g))
-  in
-  rebuild ~nl:g.nl ~nr:(g.nr - 1) ~old_edges ~extra:[]
+        if x <> v && y <> v then Ugraph.Builder.add_edge b (remap x) (remap y))
+      (Ugraph.edges (ugraph g));
+    of_set ~nl:g.nl ~nr:(g.nr - 1) (Ugraph.Builder.build b)
+  end
 
 let induced g w =
   (* Renumbering is ascending, exactly as [Ugraph.induced]: every left

@@ -61,13 +61,15 @@ val remove_edge : t -> int -> int -> t
 val add_relation : t -> Iset.t -> t
 (** [add_relation g attrs] appends a fresh right node connected to the
     given left indices. The new relation gets right index [nr g]
-    (underlying index [n g]); no existing index moves. O(n + m). *)
+    (underlying index [n g]); no existing index moves, and every other
+    adjacency row is shared with [g]. O(n + |attrs| log n). *)
 
 val remove_relation : t -> int -> t
 (** [remove_relation g j] deletes right node [j] and its incident
     edges. Right indices above [j] (and their underlying indices)
-    shift down by one; removing the last relation ([j = nr - 1])
-    leaves every surviving index unchanged. O(n + m). *)
+    shift down by one, which costs a rebuild, O(n + m); removing the
+    last relation ([j = nr - 1]) leaves every surviving index unchanged
+    and costs O(n + deg j log n). *)
 
 val induced : t -> Iset.t -> t * int array
 (** [induced g w] materialises the sub-bigraph induced by a set of

@@ -60,7 +60,7 @@ module Compiled = Engine.Compiled
 module Session = Engine.Session
 (** Compile-once / query-many serving: [Session.query] and
     [Session.solve_many] answer terminal-set queries against a
-    {!Compiled.t}, reusing per-session scratch buffers. {!solve} below
+    {!Compiled.t}, each on its terminals' component alone. {!solve} below
     is the one-shot compile-then-query wrapper. *)
 
 module Plan_cache = Cache.Plan_cache
@@ -83,7 +83,7 @@ type solution = Engine.Session.solution = {
   tree : Tree.t;
   method_used : method_used;
   optimal : bool;  (** [provenance.guarantee = Exact] *)
-  profile : Classify.profile;
+  profile : Classify.profile;  (** of the terminals' component *)
   provenance : Degrade.provenance;
       (** which ladder rung ran, why earlier rungs were abandoned
           (timeout, fuel, out-of-class, terminals-over-cap), and the
@@ -100,8 +100,8 @@ val solve :
   (solution, Errors.t) result
 (** The resource-governed runtime boundary: one-shot
     compile-then-query. Classifies once, picks the best rung the
-    classification licenses, and — when [budget] runs out mid-solve —
-    descends the degradation ladder
+    classification of the terminals' component licenses, and — when
+    [budget] runs out mid-solve — descends the degradation ladder
 
     {v exact (structured or DP)  ->  fixpoint elimination  ->  MST 2-approx v}
 

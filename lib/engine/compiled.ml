@@ -29,6 +29,32 @@ let csr t = Bigraph.csr t.graph
 let profile t = t.profile
 let n_components t = Array.length t.components
 
+(* Index of [v] in the ascending array [ids]. *)
+let local_id ids v =
+  let rec go lo hi =
+    if lo > hi then raise Not_found
+    else
+      let mid = (lo + hi) / 2 in
+      if ids.(mid) = v then mid
+      else if ids.(mid) < v then go (mid + 1) hi
+      else go lo (mid - 1)
+  in
+  go 0 (Array.length ids - 1)
+
+(* Components are closed under adjacency, so every neighbor read off
+   the CSR row of a member is a member too: the induced graph costs
+   O(|component|) and never touches the set view. *)
+let local t comp =
+  let c = csr t in
+  let ids = Array.of_list (Iset.elements comp.nodes) in
+  let b = Ugraph.Builder.create (Array.length ids) in
+  Array.iteri
+    (fun i v ->
+      Csr.iter_neighbors c v (fun w ->
+          if w > v then Ugraph.Builder.add_edge b i (local_id ids w)))
+    ids;
+  (Ugraph.Builder.build b, ids)
+
 (* ------------------------------------------------- serialization *)
 
 (* Canonical schema rendering: sizes plus the ascending edge list.
@@ -159,15 +185,27 @@ let compile ?pool ?(trace = Observe.Trace.disabled)
    components. The array is renormalised to the order a fresh compile
    would produce — [Traverse.component_ids] lists components by
    ascending minimum element — so a patched plan and a from-scratch
-   plan agree component index for component index. *)
+   plan agree component index for component index. [kept] is a
+   subsequence of the old plan and so already in that order: only the
+   few rebuilt components are sorted, then merged in. *)
 let replan ?pool ~trace ~metrics graph ~kept ~rebuilt_sets =
   let rebuilt = build_components ?pool ~trace graph rebuilt_sets in
+  let key c = Iset.min_elt c.nodes in
+  Array.sort (fun a b -> Int.compare (key a) (key b)) rebuilt;
+  let nk = Array.length kept and nr = Array.length rebuilt in
+  let i = ref 0 and j = ref 0 and recompiled = ref [] in
   let components =
-    Array.append (Array.of_list kept) rebuilt
+    Array.init (nk + nr) (fun k ->
+        if !j < nr && (!i >= nk || key rebuilt.(!j) < key kept.(!i)) then begin
+          recompiled := k :: !recompiled;
+          incr j;
+          rebuilt.(!j - 1)
+        end
+        else begin
+          incr i;
+          kept.(!i - 1)
+        end)
   in
-  Array.sort
-    (fun a b -> compare (Iset.min_elt a.nodes) (Iset.min_elt b.nodes))
-    components;
   let n = Bigraph.n graph in
   let comp_id = Array.make n (-1) in
   Array.iteri
@@ -176,14 +214,7 @@ let replan ?pool ~trace ~metrics graph ~kept ~rebuilt_sets =
   let profile =
     Classify.combine (Array.map (fun c -> c.cprofile) components)
   in
-  let recompiled = ref [] in
-  Array.iteri
-    (fun k c ->
-      if Array.exists (fun r -> r == c) rebuilt then
-        recompiled := k :: !recompiled)
-    components;
-  Observe.Metrics.incr
-    ~by:(Array.length rebuilt)
+  Observe.Metrics.incr ~by:nr
     (Observe.Metrics.counter metrics "engine.delta.recompiled_components");
   ({ graph; profile; comp_id; components }, List.rev !recompiled)
 
@@ -274,12 +305,14 @@ let apply_delta ?pool ?(trace = Observe.Trace.disabled)
           let rest = Iset.remove v t.components.(a).nodes in
           ([ a ], Traverse.components ~within:rest u')
       in
-      let kept = ref [] in
-      Array.iteri
-        (fun k c -> if not (List.mem k dirty) then kept := c :: !kept)
-        t.components;
+      let kept =
+        Array.of_seq
+          (Seq.filter_map
+             (fun (k, c) -> if List.mem k dirty then None else Some c)
+             (Array.to_seqi t.components))
+      in
       let t', recompiled =
-        replan ?pool ~trace ~metrics g' ~kept:!kept
+        replan ?pool ~trace ~metrics g' ~kept
           ~rebuilt_sets:(Array.of_list rebuilt_sets)
       in
       Observe.Trace.add_attr trace "recompiled"

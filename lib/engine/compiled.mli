@@ -28,10 +28,9 @@ type component = {
 
 type t = {
   graph : Bigraph.t;
-      (** carries both adjacency views: the flat CSR (always present
-          after compilation — the solver-scratch arena, via {!csr}) and
-          the set view, derived lazily on first set-consuming query
-          (via {!ugraph}) *)
+      (** the flat CSR is always present after compilation (via {!csr});
+          queries read it through {!local} and never derive the set
+          view, which only callers of {!ugraph} force *)
   profile : Classify.profile;
   comp_id : int array;  (** component index per node *)
   components : component array;
@@ -59,6 +58,19 @@ val ugraph : t -> Ugraph.t
 val csr : t -> Csr.t
 val profile : t -> Classify.profile
 val n_components : t -> int
+
+val local : t -> component -> Ugraph.t * int array
+(** [local t comp] is the subgraph induced by [comp.nodes] as a graph
+    of its own, built from the CSR rows in O(|component|), with
+    [ids.(i)] the plan node of local node [i]. The renumbering is
+    ascending — monotone — so a solver run on the local graph takes
+    the decisions it would take on the whole graph, and mapping its
+    tree through [ids] gives the whole-graph tree node for node. *)
+
+val local_id : int array -> int -> int
+(** [local_id ids v] is the local node of plan node [v] for the [ids]
+    of {!local} (binary search). Raises [Not_found] when [v] is not in
+    the component. *)
 
 (** {2 Incremental evolution}
 

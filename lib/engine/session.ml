@@ -31,8 +31,7 @@ type t = {
   degrade : bool;
   trace : Observe.Trace.t;
   metrics : Observe.Metrics.t;
-  alg1_scratch : Algorithm1.scratch;
-  mst_scratch : Mst_approx.scratch;
+  alg1_scratch : Algorithm1.scratch Lazy.t;
 }
 
 let create ?(budget = Budget.unlimited) ?(degrade = true)
@@ -44,19 +43,16 @@ let create ?(budget = Budget.unlimited) ?(degrade = true)
     degrade;
     trace;
     metrics;
-    (* Scratches size off the plan's CSR arena alone: creating a
-       session over a stream-built million-node plan never forces the
-       set view (that happens lazily on the first query that needs
-       it). *)
-    alg1_scratch = Algorithm1.make_scratch_csr (Compiled.csr compiled);
-    mst_scratch = Mst_approx.make_scratch_csr (Compiled.csr compiled);
+    (* n-sized, and only [query_relations] reads it: built on first
+       use, off the plan's CSR arena alone. *)
+    alg1_scratch = lazy (Algorithm1.make_scratch_csr (Compiled.csr compiled));
   }
 
 let compiled t = t.compiled
 
-(* Plan swap for live schema evolution: scratch buffers are sized to
-   the plan's CSR arena, so a session observing a new plan must
-   reallocate them — reusing the old scratch against a grown graph
+(* Plan swap for live schema evolution: the Algorithm 1 scratch is
+   sized to the plan's CSR arena, so a session observing a new plan
+   needs a fresh one — reusing the old scratch against a grown graph
    would read out of bounds. Budget, degradation policy and
    observability sinks carry over; the physical-equality fast path
    makes the per-request resync in lib/serve free when the schema has
@@ -67,8 +63,8 @@ let with_plan t compiled =
     {
       t with
       compiled;
-      alg1_scratch = Algorithm1.make_scratch_csr (Compiled.csr compiled);
-      mst_scratch = Mst_approx.make_scratch_csr (Compiled.csr compiled);
+      alg1_scratch =
+        lazy (Algorithm1.make_scratch_csr (Compiled.csr compiled));
     }
 
 (* O(|p| + log n) location against the cached component ids — the
@@ -98,18 +94,23 @@ type rung_spec = {
   run : unit -> Tree.t option;
 }
 
-(* The full per-query ladder, parameterized over the trace sink and
-   the MST scratch so a parallel batch can hand each task its own fork
-   and per-worker arena; [query] instantiates it with the session's
-   own. *)
-let query_in ?budget ?degrade ~trace ~mst_scratch t ~p =
+(* A tree over the local graph of [Compiled.local], in plan node ids. *)
+let lift ids (tree : Tree.t) =
+  {
+    Tree.nodes = Iset.map (fun v -> ids.(v)) tree.Tree.nodes;
+    edges = List.map (fun (a, b) -> (ids.(a), ids.(b))) tree.Tree.edges;
+  }
+
+(* The per-query ladder, parameterized over the trace sink so a
+   parallel batch can hand each task its own fork; [query] passes the
+   session's own. Every rung runs on the terminals' component
+   materialised as a local graph ([Compiled.local]), so a query costs
+   O(|component|) whatever the size of the schema, and the ladder is
+   chosen by that component's own class. *)
+let query_in ?budget ?degrade ~trace t ~p =
   let budget = match budget with Some b -> b | None -> t.budget in
   let degrade = match degrade with Some d -> d | None -> t.degrade in
   let metrics = t.metrics in
-  let c = t.compiled in
-  (* Cached after the first query; a stream-built plan derives the set
-     view here, on demand, rather than at construction time. *)
-  let u = Compiled.ugraph c in
   match locate t ~p with
   | Error e -> Error e
   | Ok comp ->
@@ -121,16 +122,20 @@ let query_in ?budget ?degrade ~trace ~mst_scratch t ~p =
         ]
     @@ fun () ->
     Observe.Metrics.incr (Observe.Metrics.counter metrics "engine.queries");
-    let profile = c.Compiled.profile in
+    let profile = comp.Compiled.cprofile in
+    let u, ids = Compiled.local t.compiled comp in
+    let lp = Iset.map (Compiled.local_id ids) p in
+    let algorithm2 () =
+      Algorithm2.solve_in ~budget ~trace ~metrics u ~comp:(Ugraph.nodes u)
+        ~order:(List.map (Compiled.local_id ids) comp.Compiled.order)
+        ~p:lp
+    in
     let mst_rung =
       {
         rung = Errors.Mst;
         meth = Used_mst_approx;
         guarantee = Degrade.Ratio 2.0;
-        run =
-          (fun () ->
-            Mst_approx.solve_connected ~trace ~scratch:mst_scratch u
-              ~terminals:p);
+        run = (fun () -> Mst_approx.solve_connected ~trace u ~terminals:lp);
       }
     in
     let fixpoint_rung =
@@ -138,10 +143,7 @@ let query_in ?budget ?degrade ~trace ~mst_scratch t ~p =
         rung = Errors.Fixpoint;
         meth = Used_elimination;
         guarantee = Degrade.Heuristic;
-        run =
-          (fun () ->
-            Algorithm2.solve_in ~budget ~trace ~metrics u
-              ~comp:comp.Compiled.nodes ~order:comp.Compiled.order ~p);
+        run = algorithm2;
       }
     in
     let pre_attempts, ladder =
@@ -152,7 +154,7 @@ let query_in ?budget ?degrade ~trace ~mst_scratch t ~p =
               rung = Errors.Exact_structured;
               meth = Used_forest;
               guarantee = Degrade.Exact;
-              run = (fun () -> Steiner.Forest_steiner.solve u ~terminals:p);
+              run = (fun () -> Steiner.Forest_steiner.solve u ~terminals:lp);
             };
             mst_rung;
           ] )
@@ -166,10 +168,7 @@ let query_in ?budget ?degrade ~trace ~mst_scratch t ~p =
               rung = Errors.Exact_structured;
               meth = Used_algorithm2;
               guarantee = Degrade.Exact;
-              run =
-                (fun () ->
-                  Algorithm2.solve_in ~budget ~trace ~metrics u
-                    ~comp:comp.Compiled.nodes ~order:comp.Compiled.order ~p);
+              run = algorithm2;
             };
             mst_rung;
           ] )
@@ -182,40 +181,7 @@ let query_in ?budget ?degrade ~trace ~mst_scratch t ~p =
               guarantee = Degrade.Exact;
               run =
                 (fun () ->
-                  (* The DP's tables scale with the graph it sees
-                     (O(n) BFS rows, a 2^t x n table), not with the
-                     component, so hand it the terminals' component as
-                     a materialised subgraph: on a many-component
-                     schema at n = 10^6 the component is tiny while
-                     the graph is not. [Ugraph.induced] renumbers
-                     ascending — a monotone relabeling — so the DP
-                     takes identical decisions and the mapped-back
-                     tree is the one the whole-graph run returns. *)
-                  let nodes = comp.Compiled.nodes in
-                  if Iset.cardinal nodes = Ugraph.n u then
-                    Dreyfus_wagner.solve ~budget ~trace ~metrics u
-                      ~terminals:p
-                  else begin
-                    let sub, ids = Ugraph.induced u nodes in
-                    let back = Hashtbl.create (Array.length ids) in
-                    Array.iteri (fun i v -> Hashtbl.replace back v i) ids;
-                    let p' = Iset.map (Hashtbl.find back) p in
-                    match
-                      Dreyfus_wagner.solve ~budget ~trace ~metrics sub
-                        ~terminals:p'
-                    with
-                    | None -> None
-                    | Some t ->
-                      Some
-                        {
-                          Tree.nodes =
-                            Iset.map (fun v -> ids.(v)) t.Tree.nodes;
-                          edges =
-                            List.map
-                              (fun (a, b) -> (ids.(a), ids.(b)))
-                              t.Tree.edges;
-                        }
-                  end);
+                  Dreyfus_wagner.solve ~budget ~trace ~metrics u ~terminals:lp);
             };
             fixpoint_rung;
             mst_rung;
@@ -285,10 +251,10 @@ let query_in ?budget ?degrade ~trace ~mst_scratch t ~p =
           if Observe.Trace.active trace then
             Observe.Trace.span trace "verify" (fun () ->
                 Observe.Trace.add_attr trace "covers_terminals"
-                  (Observe.Trace.Bool (Tree.verify u ~terminals:p tree)));
+                  (Observe.Trace.Bool (Tree.verify u ~terminals:lp tree)));
           Ok
             {
-              tree;
+              tree = lift ids tree;
               method_used = spec.meth;
               optimal = spec.guarantee = Degrade.Exact;
               profile;
@@ -307,8 +273,7 @@ let query_in ?budget ?degrade ~trace ~mst_scratch t ~p =
     List.iter (Degrade.trace_abandon trace) pre_attempts;
     descend (List.rev pre_attempts) ladder
 
-let query ?budget ?degrade t ~p =
-  query_in ?budget ?degrade ~trace:t.trace ~mst_scratch:t.mst_scratch t ~p
+let query ?budget ?degrade t ~p = query_in ?budget ?degrade ~trace:t.trace t ~p
 
 let solve_many ?pool ?budget ?make_budget ?degrade t ps =
   (* Queries must behave identically however they are spread over
@@ -319,9 +284,9 @@ let solve_many ?pool ?budget ?make_budget ?degrade t ps =
   let budget_for i =
     match make_budget with Some f -> Some (f i) | None -> budget
   in
-  let run ~trace ~mst_scratch i p =
+  let run ~trace i p =
     Fault.with_derived fault ~index:i (fun () ->
-        query_in ?budget:(budget_for i) ?degrade ~trace ~mst_scratch t ~p)
+        query_in ?budget:(budget_for i) ?degrade ~trace t ~p)
   in
   match pool with
   | Some pool when Parallel.Pool.domains pool > 1 && List.length ps > 1 ->
@@ -334,30 +299,19 @@ let solve_many ?pool ?budget ?make_budget ?degrade t ps =
          (?make_budget, e.g. fun _ -> Budget.Shared.view handle); one \
          mutable budget cannot be shared across domains";
     let ps = Array.of_list ps in
-    let c = t.compiled in
-    (* Force the set view on the coordinator before fan-out so worker
-       domains only read the plan's caches, never fill them. *)
-    ignore (Compiled.ugraph c);
-    (* Scratch is the only mutable solver state a query touches, so a
-       per-worker arena (indexed by the pool's stable worker id) makes
-       concurrent queries race-free without locking. *)
-    let scratches =
-      Array.init (Parallel.Pool.domains pool) (fun _ ->
-          Mst_approx.make_scratch_csr (Compiled.csr c))
-    in
+    (* Force the CSR view on the coordinator before fan-out so worker
+       domains only read the plan's caches, never fill them. Each query
+       builds its own local graph, so workers share no mutable state. *)
+    ignore (Compiled.csr t.compiled);
     let forks = Array.map (fun _ -> Observe.Trace.fork t.trace) ps in
     let out =
       Parallel.Pool.mapi_worker pool
-        (fun ~worker ~index p ->
-          run ~trace:forks.(index) ~mst_scratch:scratches.(worker) index p)
+        (fun ~worker:_ ~index p -> run ~trace:forks.(index) index p)
         ps
     in
     Array.iter (Observe.Trace.merge t.trace) forks;
     Array.to_list out
-  | _ ->
-    List.mapi
-      (fun i p -> run ~trace:t.trace ~mst_scratch:t.mst_scratch i p)
-      ps
+  | _ -> List.mapi (fun i p -> run ~trace:t.trace i p) ps
 
 (* Algorithm 1 against the compiled join-tree ordering: the GYO work
    was paid at compile time, each query only replays the elimination
@@ -376,8 +330,9 @@ let query_relations t ~p =
       Error Errors.Disconnected_terminals
     | Ok prep -> (
       match
-        Algorithm1.solve_prepared ~trace:t.trace ~scratch:t.alg1_scratch
-          t.compiled.Compiled.graph prep ~p
+        Algorithm1.solve_prepared ~trace:t.trace
+          ~scratch:(Lazy.force t.alg1_scratch) t.compiled.Compiled.graph prep
+          ~p
       with
       | Ok r -> Ok r
       | Error Algorithm1.Disconnected_terminals ->

@@ -1,13 +1,16 @@
 (** Query sessions over a compiled schema.
 
-    A session owns the per-query mutable state — solver scratch buffers
-    (CSR-backed bitsets, BFS queues) plus default budget and
-    observability sinks — and answers any number of terminal-set
-    queries against one {!Compiled.t}. Classification, component
-    decomposition and elimination orderings are read from the compiled
-    plan; a query performs only terminal location, the degradation
-    ladder, and the chosen solver. Sessions are not safe for concurrent
-    use (the scratch buffers are shared across queries by design). *)
+    A session holds the default budget and observability sinks plus
+    Algorithm 1's scratch (allocated on the first {!query_relations}),
+    and answers any number of terminal-set queries against one
+    {!Compiled.t}. Classification, component decomposition and
+    elimination orderings are read from the compiled plan; a query
+    performs only terminal location, the degradation ladder, and the
+    chosen solver. Every rung runs on the terminals'
+    component alone ({!Compiled.local}), so a query costs
+    O(|component|) however large the schema, and the ladder is chosen
+    by that component's class. Sessions are not safe for concurrent
+    use ({!query_relations} shares its scratch across queries). *)
 
 open Graphs
 open Bipartite
@@ -30,6 +33,9 @@ type solution = {
   method_used : method_used;
   optimal : bool;  (** [provenance.guarantee = Exact] *)
   profile : Classify.profile;
+      (** the terminals' component's profile, which chose the ladder:
+          on a schema mixing classes it can be stronger than
+          {!Compiled.profile} *)
   provenance : Degrade.provenance;
       (** which ladder rung ran, why earlier rungs were abandoned, and
           the resulting guarantee *)
@@ -44,8 +50,7 @@ val create :
   ?metrics:Observe.Metrics.t ->
   Compiled.t ->
   t
-(** Allocates the session scratch (sharing the compiled CSR arena) and
-    fixes the defaults every {!query} inherits: [budget] (default
+(** Fixes the defaults every {!query} inherits: [budget] (default
     unlimited) meters queries — never compilation — [degrade] (default
     [true]) selects ladder fall-through vs fail-fast, and
     [trace]/[metrics] default to the shared inert instances. *)
@@ -53,12 +58,13 @@ val create :
 val compiled : t -> Compiled.t
 
 val with_plan : t -> Compiled.t -> t
-(** [with_plan t c] is the session retargeted at plan [c]: fresh
-    solver scratch sized to [c]'s arena, same budget, degradation
-    policy, trace and metrics. Physical no-op (returns [t] itself)
-    when [c == compiled t] — the cheap per-request resync the serving
-    layer performs so schema deltas swap in without dropping inflight
-    requests (a request keeps the immutable plan it started with). *)
+(** [with_plan t c] is the session retargeted at plan [c]: a fresh
+    (not yet allocated) Algorithm 1 scratch for [c]'s arena, same
+    budget, degradation policy, trace and metrics. Physical no-op
+    (returns [t] itself) when [c == compiled t] — the cheap
+    per-request resync the serving layer performs so schema deltas
+    swap in without dropping inflight requests (a request keeps the
+    immutable plan it started with). *)
 
 val query :
   ?budget:Budget.t ->
@@ -85,11 +91,11 @@ val solve_many :
 (** [query] over a batch, in order; one result per terminal set,
     errors kept in position.
 
-    [pool] (default: inline) fans the queries across domains with a
-    solver scratch per worker; results, provenance and any injected
-    fault behaviour are byte-identical to the sequential path for
-    every pool size. Per-query trace spans are recorded into forks
-    merged back in batch order.
+    [pool] (default: inline) fans the queries across domains (each
+    query builds its own solver state on its component); results,
+    provenance and any injected fault behaviour are byte-identical to
+    the sequential path for every pool size. Per-query trace spans are
+    recorded into forks merged back in batch order.
 
     [make_budget] (overrides [budget]) builds the budget for query
     [i] — [fun _ -> Budget.make ~fuel:f ()] for a fresh deterministic

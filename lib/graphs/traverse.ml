@@ -22,11 +22,27 @@ let bfs ?within g s =
   end;
   dist
 
+(* Depth-first sweep that keeps the visited nodes in the set it
+   returns: no n-sized array and no scan over all n nodes, so the cost
+   is O(|component| log n) however large the graph around [within]. *)
 let component ?within g s =
-  let dist = bfs ?within g s in
-  let acc = ref Iset.empty in
-  Array.iteri (fun v d -> if d >= 0 then acc := Iset.add v !acc) dist;
-  !acc
+  let inside, nbrs =
+    match within with
+    | Some w -> (Iset.mem s w, Ugraph.adj_within g ~within:w)
+    | None -> (s >= 0 && s < Ugraph.n g, Ugraph.neighbors g)
+  in
+  let rec go seen = function
+    | [] -> seen
+    | u :: stack ->
+      let seen, stack =
+        Iset.fold
+          (fun v ((seen, stack) as acc) ->
+            if Iset.mem v seen then acc else (Iset.add v seen, v :: stack))
+          (nbrs u) (seen, stack)
+      in
+      go seen stack
+  in
+  if inside then go (Iset.singleton s) [ s ] else Iset.empty
 
 let components ?within g =
   let w = default_within g within in

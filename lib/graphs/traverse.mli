@@ -11,7 +11,11 @@ val bfs : ?within:Iset.t -> Ugraph.t -> int -> int array
     nodes (including nodes outside [within]) get [-1]. *)
 
 val component : ?within:Iset.t -> Ugraph.t -> int -> Iset.t
-(** Connected component of [s] in the induced subgraph. *)
+(** Connected component of [s] in the induced subgraph; empty when [s]
+    is outside [within]. Costs O(|component| log n): no n-sized array
+    is allocated, so {!components}, {!is_connected}, {!connects} and
+    {!component_containing} with a small [within] stay small on a
+    large graph. *)
 
 val components : ?within:Iset.t -> Ugraph.t -> Iset.t list
 (** All connected components of the induced subgraph. *)

@@ -23,7 +23,8 @@ val of_adjacency : Iset.t array -> m:int -> t
     guarantees the array is symmetric ([v ∈ adj.(u)] iff [u ∈ adj.(v)]),
     self-loop-free, in range, and that [m] is the undirected edge
     count. Used by [Csr.to_ugraph] to convert a million-node CSR back
-    to sets without per-edge AVL inserts; not for general use. *)
+    to sets without per-edge AVL inserts, and by [Bigraph]'s relation
+    edits to share every untouched row; not for general use. *)
 
 val add_edge : t -> int -> int -> t
 (** Functional edge insertion (O(n) copy; prefer {!Builder} in loops). *)

@@ -1,17 +1,13 @@
 open Graphs
 
-(* Per-session buffers: the CSR adjacency and the BFS queue depend only
-   on the graph, so a session reuses one scratch across queries. The
-   per-terminal dist/parent rows still depend on |terminals| and are
-   allocated per call. *)
+(* The CSR adjacency and BFS queue shared by the per-terminal BFS
+   passes of one call; the dist/parent rows depend on |terminals|. *)
 type scratch = { csr : Csr.t; n : int; queue : int array }
 
-let make_scratch_csr csr =
+let make_scratch g =
+  let csr = Csr.of_ugraph g in
   let n = Csr.n csr in
   { csr; n; queue = Array.make n 0 }
-
-let make_scratch ?csr g =
-  make_scratch_csr (match csr with Some c -> c | None -> Csr.of_ugraph g)
 
 (* BFS over the CSR rows, recording distances and parent pointers in
    one pass. Neighbor iteration is ascending, like [Traverse.bfs], so
@@ -37,11 +33,11 @@ let bfs_into s ~dist ~parent start =
 
 (* The caller has already established that the terminals share a
    component (|terminals| >= 2). *)
-let solve_connected ?(trace = Observe.Trace.disabled) ?scratch g ~terminals =
+let solve_connected ?(trace = Observe.Trace.disabled) g ~terminals =
   if Iset.cardinal terminals <= 1 then
     Some { Tree.nodes = terminals; edges = [] }
   else
-  let s = match scratch with Some s -> s | None -> make_scratch g in
+  let s = make_scratch g in
   Observe.Trace.span trace "mst_approx"
     ~attrs:[ ("terminals", Observe.Trace.Int (Iset.cardinal terminals)) ]
   @@ fun () ->

@@ -180,6 +180,48 @@ let test_solve_many_positions () =
     check "same query, same answer around failures" true (sol_equal a b)
   | _ -> Alcotest.fail "batch results out of position"
 
+(* The ladder is chosen by the terminals' component, not by the whole
+   schema: a path component next to a chordless 8-cycle is still a
+   forest, so a query inside the path is answered exactly by the forest
+   rung even with more terminals than the exact DP admits. *)
+let test_dispatch_on_component_class () =
+  let path =
+    List.init 20 (fun i -> (i, i)) @ List.init 19 (fun i -> (i + 1, i))
+  in
+  let cycle =
+    List.init 4 (fun k -> (20 + k, 20 + k))
+    @ List.init 4 (fun k -> (20 + ((k + 1) mod 4), 20 + k))
+  in
+  let g = Bigraph.of_edges ~nl:24 ~nr:24 (path @ cycle) in
+  let plan = Minconn.Compiled.compile g in
+  check "schema is not (6,2)-chordal" false
+    (Minconn.Compiled.profile plan).Classify.chordal_62;
+  let session = Minconn.Session.create plan in
+  let p = Iset.of_list (List.init 19 Fun.id) in
+  check "more terminals than the DP cap" true
+    (Iset.cardinal p > Dreyfus_wagner.max_terminals);
+  (match Minconn.Session.query session ~p with
+  | Ok s ->
+    check "optimal" true s.Minconn.optimal;
+    check "forest rung" true (s.Minconn.method_used = Minconn.Used_forest);
+    check "ran the structured rung" true
+      (s.Minconn.provenance.Minconn.Degrade.ran
+      = Minconn.Errors.Exact_structured);
+    check "profile is the component's" true
+      s.Minconn.profile.Classify.chordal_41;
+    (* L0 .. L18 along the path: 19 lefts and the 18 rights between. *)
+    check_int "the path itself" 37 (Tree.node_count s.Minconn.tree);
+    check "valid tree" true
+      (Tree.verify (Bigraph.ugraph g) ~terminals:p s.Minconn.tree)
+  | Error _ -> Alcotest.fail "path query must answer");
+  match Minconn.Session.query session ~p:(Iset.of_list [ 20; 22 ]) with
+  | Ok s ->
+    check "cycle component takes the DP" true
+      (s.Minconn.method_used = Minconn.Used_exact_dp && s.Minconn.optimal);
+    check "cycle profile is not (4,1)" false
+      s.Minconn.profile.Classify.chordal_41
+  | Error _ -> Alcotest.fail "cycle query must answer"
+
 (* --------------------------------------------------- memoization *)
 
 let test_schema_memoized () =
@@ -239,6 +281,8 @@ let () =
             test_degraded_equivalence;
           Alcotest.test_case "batch error positions" `Quick
             test_solve_many_positions;
+          Alcotest.test_case "dispatch on the component's class" `Quick
+            test_dispatch_on_component_class;
         ] );
       ( "memoization",
         [

@@ -396,9 +396,52 @@ let test_session_with_plan () =
     check "swapped session answers like a fresh one" true
       (result_equal (Session.query s' ~p) (Session.query fresh_sess ~p))
 
+(* Relation edits against an independent construction: the edited
+   edge list built from scratch. Appending a relation and removing the
+   last one share the untouched adjacency rows instead of rebuilding,
+   so the set view (rows and edge count) is compared, not just the
+   CSR. *)
+let prop_relation_edits =
+  QCheck2.Test.make ~count:300
+    ~name:"Bigraph relation edits = of_edges on the edited edge list" seed_gen
+    (fun seed ->
+      let rng = Workloads.Rng.make ~seed in
+      let nl = 1 + Workloads.Rng.int rng 7
+      and nr = 1 + Workloads.Rng.int rng 7 in
+      let g = Workloads.Gen_bipartite.gnp rng ~nl ~nr ~p:0.3 in
+      let edges = Bigraph.edges g in
+      let same g' ~nr expected =
+        let h = Bigraph.of_edges ~nl ~nr expected in
+        Bigraph.nr g' = nr
+        && Ugraph.equal (Bigraph.ugraph g') (Bigraph.ugraph h)
+        && Bigraph.equal g' h
+      in
+      let attrs =
+        Iset.of_list
+          (List.init (Workloads.Rng.int rng 4) (fun _ ->
+               Workloads.Rng.int rng nl))
+      in
+      let j = Workloads.Rng.int rng nr in
+      same
+        (Bigraph.add_relation g attrs)
+        ~nr:(nr + 1)
+        (edges @ List.map (fun i -> (i, nr)) (Iset.elements attrs))
+      && same
+           (Bigraph.remove_relation g j)
+           ~nr:(nr - 1)
+           (List.filter_map
+              (fun (i, k) ->
+                if k = j then None else Some (i, if k > j then k - 1 else k))
+              edges)
+      && same
+           (Bigraph.remove_relation g (nr - 1))
+           ~nr:(nr - 1)
+           (List.filter (fun (_, k) -> k <> nr - 1) edges))
+
 let qcheck_cases =
   [
     prop_combine_is_whole;
+    prop_relation_edits;
     prop_differential_gnp;
     prop_differential_structured;
   ]

@@ -230,6 +230,46 @@ let test_block_terminals () =
         (List.for_all (fun c -> c = List.hd cs) cs))
     [ 0; 1; Workloads.Gen_scale.n_blocks inst - 1 ]
 
+(* Warm queries cost the terminals' component, not the schema: the
+   same 32 in-block queries allocate about as much at n = 10^5 as at
+   10^4, and leave the plan exactly as large as they found it (the set
+   view is never derived). Allocation counts are deterministic, so this
+   pins the asymptotics without timing anything. *)
+let query_cost fam ~n =
+  let inst = Workloads.Gen_scale.make fam ~target_n:n ~seed:2026 in
+  let plan = Minconn.Compiled.compile (Workloads.Gen_scale.to_bigraph inst) in
+  let session = Minconn.Session.create plan in
+  let blocks = Workloads.Gen_scale.n_blocks inst in
+  let queries =
+    List.init 32 (fun i ->
+        Workloads.Gen_scale.block_terminals inst ~block:(i * blocks / 32) ~k:3)
+  in
+  let plan_words () = Obj.reachable_words (Obj.repr plan) in
+  let before = plan_words () in
+  (* [Gc.minor_words] is exact at any point; the minor counts of
+     [Gc.counters] and [Gc.quick_stat] only advance at collections. *)
+  let a0 = Gc.minor_words () in
+  List.iter
+    (fun p ->
+      match Minconn.Session.query session ~p with
+      | Ok _ -> ()
+      | Error _ -> Alcotest.fail "in-block query failed")
+    queries;
+  let per_query = (Gc.minor_words () -. a0) /. 32.0 in
+  (per_query, before, plan_words ())
+
+let test_component_local_cost () =
+  List.iter
+    (fun fam ->
+      let name = Workloads.Gen_scale.family_name fam in
+      let small, _, _ = query_cost fam ~n:10_000 in
+      let large, before, after = query_cost fam ~n:100_000 in
+      if large > 1.5 *. small then
+        Alcotest.failf "%s: %.0f words per query at 10^5 vs %.0f at 10^4" name
+          large small;
+      check_int (name ^ ": plan size unchanged by queries") before after)
+    Workloads.Gen_scale.[ Forest; Chordal62 ]
+
 let qcheck_cases =
   [
     prop_csr_of_edges;
@@ -251,6 +291,8 @@ let () =
           Alcotest.test_case "alg1 prep per component" `Quick
             test_family_alg1_prep;
           Alcotest.test_case "block terminals" `Quick test_block_terminals;
+          Alcotest.test_case "component-local query cost" `Quick
+            test_component_local_cost;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_cases);
     ]
