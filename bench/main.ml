@@ -167,15 +167,15 @@ let table_t1 () =
       incr total;
       let h1 = Correspond.h1_exn g in
       if
-        Mn_chordality.is_mn_chordal_brute g ~m:4 ~n:1
+        Oracle.Mn_brute.is_mn_chordal_brute g ~m:4 ~n:1
         = Hypergraphs.Berge.acyclic h1
       then incr agree_i;
       if
-        Mn_chordality.is_mn_chordal_brute g ~m:6 ~n:2
+        Oracle.Mn_brute.is_mn_chordal_brute g ~m:6 ~n:2
         = Hypergraphs.Gamma.acyclic h1
       then incr agree_ii;
       if
-        Mn_chordality.is_mn_chordal_brute g ~m:6 ~n:1
+        Oracle.Mn_brute.is_mn_chordal_brute g ~m:6 ~n:1
         = Hypergraphs.Beta.acyclic h1
       then incr agree_iii;
       if
@@ -571,7 +571,7 @@ let ablation_a2 () =
       let g = Workloads.Gen_bipartite.chordal_62 rng ~n_right ~max_size:4 in
       let t_beta = time_ms (fun () -> Mn_chordality.is_61_chordal g) in
       let t_bis =
-        time_ms (fun () -> Mn_chordality.is_61_chordal_bisimplicial g)
+        time_ms (fun () -> Oracle.Mn_brute.is_61_chordal_bisimplicial g)
       in
       let t_dlex = time_ms (fun () -> Doubly_lex.is_61_chordal_doubly_lex g) in
       Printf.printf "%8d %8d %14.3f %18.3f %16.3f\n" (Bigraph.n g)
@@ -974,7 +974,7 @@ let kernels_section ~trials ~max_n ~json_path () =
       let g = Workloads.Gen_graph.gnp rng ~n:nsz ~p:(8.0 /. float_of_int nsz) in
       note "lexbfs"
         (pair ~section:"lexbfs" ~n:(Ugraph.n g) ~m:(Ugraph.m g)
-           (fun () -> Lexbfs.lexbfs_order_sets g)
+           (fun () -> Oracle.Set_kernels.lexbfs_order_sets g)
            (fun () -> Lexbfs.lexbfs_order g)))
     (sizes [ 48; 96; 192; 384 ]);
   List.iter
@@ -985,7 +985,7 @@ let kernels_section ~trials ~max_n ~json_path () =
         (pair ~section:"mcs"
            ~n:(Hypergraphs.Hypergraph.n_nodes h)
            ~m:(Hypergraphs.Hypergraph.n_edges h)
-           (fun () -> Hypergraphs.Mcs.edge_order_sets h)
+           (fun () -> Oracle.Set_kernels.edge_order_sets h)
            (fun () -> Hypergraphs.Mcs.edge_order h)))
     (sizes [ 16; 32; 64; 128 ]);
   List.iter
@@ -994,7 +994,7 @@ let kernels_section ~trials ~max_n ~json_path () =
       let g = Workloads.Gen_graph.random_chordal rng ~n:nsz ~max_clique:6 in
       note "chordal"
         (pair ~section:"chordal" ~n:(Ugraph.n g) ~m:(Ugraph.m g)
-           (fun () -> Chordal.is_chordal_sets g)
+           (fun () -> Oracle.Set_kernels.is_chordal_sets g)
            (fun () -> Chordal.is_chordal g)))
     (sizes [ 48; 96; 192; 384 ]);
   List.iter
@@ -1005,7 +1005,7 @@ let kernels_section ~trials ~max_n ~json_path () =
       let u = Bigraph.ugraph g in
       note "algorithm1"
         (pair ~section:"algorithm1" ~n:(Ugraph.n u) ~m:(Ugraph.m u)
-           (fun () -> Algorithm1.solve_sets g ~p)
+           (fun () -> Oracle.Set_kernels.solve_sets g ~p)
            (fun () -> Algorithm1.solve g ~p)))
     (sizes [ 12; 24; 48; 96 ]);
   List.iter
@@ -1975,11 +1975,9 @@ let evolve_section ~trials ~max_n ~json_path () =
        [Csr.of_ugraph]), run on every rung up to 10^6; the sets/direct
        ns_per_op ratio is the headline number;
      compile          — [Compiled.compile] off the cached CSR;
-     query-first      — [Session.create] plus a query burst against a
-       plan whose set-view cache is cold ([Bigraph.compact] resets the
-       cache without copying the CSR arrays); queries read only the CSR,
-       so this is session setup plus the burst, with no set view to
-       derive;
+     query-first      — [Session.create] plus a query burst against
+       the compiled plan; queries read only the CSR, so this is session
+       setup plus the burst;
      query-warm       — the same burst on a warm session; one ratio
        line per family compares it at the top rung with the rung below
        (must be <= 1.5: warm queries cost O(|component|)).
@@ -2091,14 +2089,7 @@ let scale_section ~trials ~scale_max_n ~json_path () =
           in
           let ms_first =
             time_mean ~trials (fun () ->
-                let plan' =
-                  {
-                    plan with
-                    Minconn.Compiled.graph =
-                      Bigraph.compact plan.Minconn.Compiled.graph;
-                  }
-                in
-                run_queries (Minconn.Session.create plan'))
+                run_queries (Minconn.Session.create plan))
           in
           entry ~family:fname ~kind:"query-first" ~n ~m ~ms:ms_first [];
           let s = Minconn.Session.create plan in

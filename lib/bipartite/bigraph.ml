@@ -1,55 +1,21 @@
 open Graphs
 
-(* Dual representation: the graph lives in whichever adjacency form it
-   was built from — the set-based [Ugraph.t] or the flat [Csr.t] — and
-   the other form is derived lazily on first use and cached. The
-   mutable fields are caches only: both always describe the same
-   graph, so a racy double-derivation writes equal values (benign under
-   the runtime's atomic pointer writes) and every observable function
-   is pure. At least one of the two is always [Some].
-
-   This is what lets [Compiled.compile] take an edge stream to a CSR
-   plan at n = 10^6 without ever materialising a million AVL sets,
-   while the handful of set-based consumers (the solvers' tree
-   extraction, the classifier on small per-component slices) force the
-   set view only if and when they run. *)
-type t = {
-  nl : int;
-  nr : int;
-  mutable gset : Ugraph.t option;
-  mutable gcsr : Csr.t option;
-}
+(* The graph is its flat adjacency: [csr] lives on [nl + nr] underlying
+   nodes with right node [j] at index [nl + j]. Constructors stream
+   their edges into [Csr.of_edge_iter] and edits replace the touched
+   rows ([Csr.replace_rows]), so a value is immutable and has exactly
+   one representation — equal graphs have identical arrays, marshal
+   identically, and no read ever fills a cache. Set-based callers
+   convert explicitly with [ugraph]. *)
+type t = { nl : int; nr : int; csr : Csr.t }
 
 type side = V1 | V2
 type node = L of int | R of int
 
-let ugraph g =
-  match g.gset with
-  | Some u -> u
-  | None -> (
-    match g.gcsr with
-    | Some c ->
-      let u = Csr.to_ugraph c in
-      g.gset <- Some u;
-      u
-    | None -> assert false)
+let csr g = g.csr
+let ugraph g = Csr.to_ugraph g.csr
 
-let csr g =
-  match g.gcsr with
-  | Some c -> c
-  | None -> (
-    match g.gset with
-    | Some u ->
-      let c = Csr.of_ugraph u in
-      g.gcsr <- Some c;
-      c
-    | None -> assert false)
-
-let of_set ~nl ~nr u = { nl; nr; gset = Some u; gcsr = None }
-
-let create ~nl ~nr =
-  if nl < 0 || nr < 0 then invalid_arg "Bigraph.create";
-  of_set ~nl ~nr (Ugraph.create (nl + nr))
+let check_sizes name ~nl ~nr = if nl < 0 || nr < 0 then invalid_arg name
 
 let check_left g i =
   if i < 0 || i >= g.nl then invalid_arg "Bigraph: left index out of range"
@@ -57,37 +23,32 @@ let check_left g i =
 let check_right g j =
   if j < 0 || j >= g.nr then invalid_arg "Bigraph: right index out of range"
 
-let add_edge g i j =
-  check_left g i;
-  check_right g j;
-  of_set ~nl:g.nl ~nr:g.nr (Ugraph.add_edge (ugraph g) i (g.nl + j))
+(* Every edge once as underlying indices (left endpoint first), lefts
+   ascending and each row ascending: a replayable stream. *)
+let iter_underlying g f =
+  for i = 0 to g.nl - 1 do
+    Csr.iter_neighbors g.csr i (f i)
+  done
 
-let of_edges ~nl ~nr edges =
-  if nl < 0 || nr < 0 then invalid_arg "Bigraph.of_edges";
-  let b = Ugraph.Builder.create (nl + nr) in
-  List.iter
-    (fun (i, j) ->
-      if i < 0 || i >= nl then invalid_arg "Bigraph: left index out of range";
-      if j < 0 || j >= nr then invalid_arg "Bigraph: right index out of range";
-      Ugraph.Builder.add_edge b i (nl + j))
-    edges;
-  of_set ~nl ~nr (Ugraph.Builder.build b)
+let stream ~nl ~nr iter = { nl; nr; csr = Csr.of_edge_iter ~n:(nl + nr) iter }
 
 let of_edge_iter ~nl ~nr iter =
-  if nl < 0 || nr < 0 then invalid_arg "Bigraph.of_edge_iter";
-  let c =
-    Csr.of_edge_iter ~n:(nl + nr) (fun f ->
-        iter (fun i j ->
-            if i < 0 || i >= nl then
-              invalid_arg "Bigraph: left index out of range";
-            if j < 0 || j >= nr then
-              invalid_arg "Bigraph: right index out of range";
-            f i (nl + j)))
-  in
-  { nl; nr; gset = None; gcsr = Some c }
+  check_sizes "Bigraph.of_edge_iter" ~nl ~nr;
+  stream ~nl ~nr (fun f ->
+      iter (fun i j ->
+          if i < 0 || i >= nl then
+            invalid_arg "Bigraph: left index out of range";
+          if j < 0 || j >= nr then
+            invalid_arg "Bigraph: right index out of range";
+          f i (nl + j)))
+
+let of_edges ~nl ~nr edges =
+  of_edge_iter ~nl ~nr (fun f -> List.iter (fun (i, j) -> f i j) edges)
+
+let create ~nl ~nr = of_edges ~nl ~nr []
 
 let of_csr ~nl ~nr c =
-  if nl < 0 || nr < 0 then invalid_arg "Bigraph.of_csr";
+  check_sizes "Bigraph.of_csr" ~nl ~nr;
   if Csr.n c <> nl + nr then invalid_arg "Bigraph.of_csr: size mismatch";
   for u = 0 to nl - 1 do
     Csr.iter_neighbors c u (fun v ->
@@ -97,7 +58,7 @@ let of_csr ~nl ~nr c =
     Csr.iter_neighbors c v (fun w ->
         if w >= nl then invalid_arg "Bigraph.of_csr: right-right edge")
   done;
-  { nl; nr; gset = None; gcsr = Some c }
+  { nl; nr; csr = c }
 
 let of_bipartite_ugraph ~nl u =
   let n = Ugraph.n u in
@@ -107,25 +68,44 @@ let of_bipartite_ugraph ~nl u =
       if (x < nl) = (y < nl) then
         invalid_arg "Bigraph.of_bipartite_ugraph: edge within one side")
     u ();
-  of_set ~nl ~nr:(n - nl) u
+  { nl; nr = n - nl; csr = Csr.of_ugraph u }
+
+(* An edit rewrites only the rows it touches; the others are copied
+   as whole runs, so a delta on a 10^5-node schema costs two array
+   copies. *)
+let edit g ~nr rows =
+  { g with nr; csr = Csr.replace_rows g.csr ~n:(g.nl + nr) rows }
+
+let row g u = Csr.sorted_neighbors g.csr u
+
+let insert x r =
+  let n = Array.length r in
+  let k = ref 0 in
+  while !k < n && r.(!k) < x do
+    incr k
+  done;
+  Array.concat [ Array.sub r 0 !k; [| x |]; Array.sub r !k (n - !k) ]
+
+let remove x r = Array.of_seq (Seq.filter (fun y -> y <> x) (Array.to_seq r))
+
+let add_edge g i j =
+  check_left g i;
+  check_right g j;
+  let v = g.nl + j in
+  if Csr.mem_edge g.csr i v then g
+  else edit g ~nr:g.nr [ (i, insert v (row g i)); (v, insert i (row g v)) ]
 
 let remove_edge g i j =
   check_left g i;
   check_right g j;
-  of_set ~nl:g.nl ~nr:g.nr (Ugraph.remove_edge (ugraph g) i (g.nl + j))
+  let v = g.nl + j in
+  if not (Csr.mem_edge g.csr i v) then g
+  else edit g ~nr:g.nr [ (i, remove v (row g i)); (v, remove i (row g v)) ]
 
 let nl g = g.nl
 let nr g = g.nr
 let n g = g.nl + g.nr
-
-let m g =
-  match g.gcsr with Some c -> Csr.m c | None -> Ugraph.m (ugraph g)
-
-(* Canonical marshal form: keep only the CSR (its arrays are identical
-   for any construction of the same graph, unlike AVL shapes), so
-   serialized plans are byte-reproducible whatever mix of caches the
-   live value accumulated. *)
-let compact g = { nl = g.nl; nr = g.nr; gset = None; gcsr = Some (csr g) }
+let m g = Csr.m g.csr
 
 let index g = function
   | L i ->
@@ -152,37 +132,18 @@ let nodes_of_side g = function V1 -> left_nodes g | V2 -> right_nodes g
 let mem_edge g i j =
   check_left g i;
   check_right g j;
-  match g.gcsr with
-  | Some c -> Csr.mem_edge c i (g.nl + j)
-  | None -> Ugraph.mem_edge (ugraph g) i (g.nl + j)
-
-(* Per-node set access goes to whichever view is already cached: when
-   only the CSR exists, one sorted row becomes one small set instead of
-   forcing the whole set view. *)
-let neighbors_underlying g v =
-  match g.gset with
-  | Some u -> Ugraph.neighbors u v
-  | None -> Iset.of_list (Array.to_list (Csr.sorted_neighbors (csr g) v))
+  Csr.mem_edge g.csr i (g.nl + j)
 
 let right_neighbors g i =
   check_left g i;
-  Iset.map (fun v -> v - g.nl) (neighbors_underlying g i)
+  Iset.of_list
+    (Csr.fold_neighbors g.csr i (fun acc v -> (v - g.nl) :: acc) [])
 
 let left_neighbors g j =
   check_right g j;
-  neighbors_underlying g (g.nl + j)
+  Iset.of_list (Array.to_list (Csr.sorted_neighbors g.csr (g.nl + j)))
 
-let iter_edges g f =
-  match g.gcsr with
-  | Some c ->
-    for i = 0 to g.nl - 1 do
-      Csr.iter_neighbors c i (fun v -> f i (v - g.nl))
-    done
-  | None ->
-    let u = ugraph g in
-    for i = 0 to g.nl - 1 do
-      Iset.iter (fun v -> f i (v - g.nl)) (Ugraph.neighbors u i)
-    done
+let iter_edges g f = iter_underlying g (fun i v -> f i (v - g.nl))
 
 let edges g =
   let acc = ref [] in
@@ -190,42 +151,29 @@ let edges g =
   List.rev !acc
 
 (* Rights live at the top of the index space, so appending a relation
-   (at underlying index [nl + nr]) or removing the last one moves no
-   other index: every other adjacency row is shared and only the rows
-   of the relation's attributes change, O(n + |attrs| log n). *)
+   (at underlying index [nl + nr]) moves no other index, and the new
+   node sorts last in each of its attributes' rows. *)
 let add_relation g attrs =
   Iset.iter (fun i -> check_left g i) attrs;
-  let u = ugraph g in
   let v = g.nl + g.nr in
-  let adj =
-    Array.init (v + 1) (fun x -> if x = v then attrs else Ugraph.neighbors u x)
-  in
-  Iset.iter (fun i -> adj.(i) <- Iset.add v adj.(i)) attrs;
-  of_set ~nl:g.nl ~nr:(g.nr + 1)
-    (Ugraph.of_adjacency adj ~m:(Ugraph.m u + Iset.cardinal attrs))
+  let attrs = Iset.elements attrs in
+  edit g ~nr:(g.nr + 1)
+    ((v, Array.of_list attrs)
+    :: List.map (fun i -> (i, Array.append (row g i) [| v |])) attrs)
 
+(* Removing the last relation drops its row and moves no index; any
+   other removal shifts every higher underlying index down by one and
+   rebuilds from the renumbered edge stream. *)
 let remove_relation g j =
   check_right g j;
   let v = g.nl + j in
-  if j = g.nr - 1 then begin
-    let u = ugraph g in
-    let attrs = Ugraph.neighbors u v in
-    let adj = Array.init v (Ugraph.neighbors u) in
-    Iset.iter (fun i -> adj.(i) <- Iset.remove v adj.(i)) attrs;
-    of_set ~nl:g.nl ~nr:j
-      (Ugraph.of_adjacency adj ~m:(Ugraph.m u - Iset.cardinal attrs))
-  end
-  else begin
-    (* Underlying indices above [v] shift down by one: rebuild from the
-       remapped edge list, O(n + m). *)
-    let remap x = if x > v then x - 1 else x in
-    let b = Ugraph.Builder.create (g.nl + g.nr - 1) in
-    List.iter
-      (fun (x, y) ->
-        if x <> v && y <> v then Ugraph.Builder.add_edge b (remap x) (remap y))
-      (Ugraph.edges (ugraph g));
-    of_set ~nl:g.nl ~nr:(g.nr - 1) (Ugraph.Builder.build b)
-  end
+  if j = g.nr - 1 then
+    edit g ~nr:j
+      (List.map (fun i -> (i, remove v (row g i))) (Array.to_list (row g v)))
+  else
+    stream ~nl:g.nl ~nr:(g.nr - 1) (fun f ->
+        iter_underlying g (fun x y ->
+            if y <> v then f x (if y > v then y - 1 else y)))
 
 let induced g w =
   (* Renumbering is ascending, exactly as [Ugraph.induced]: every left
@@ -233,7 +181,6 @@ let induced g w =
      bipartite layout with members below [nl] as the new lefts. The
      extraction runs over the CSR rows, so slicing one component out of
      a million-node schema costs the component, not the graph. *)
-  let c = csr g in
   let ids = Array.of_list (Iset.elements w) in
   let k = Array.length ids in
   let back = Hashtbl.create (max k 1) in
@@ -247,18 +194,17 @@ let induced g w =
     Csr.of_edge_iter ~n:k (fun f ->
         Array.iteri
           (fun i v ->
-            Csr.iter_neighbors c v (fun u ->
+            Csr.iter_neighbors g.csr v (fun u ->
                 match Hashtbl.find_opt back u with
                 | Some j when i < j -> f i j
                 | Some _ | None -> ()))
           ids)
   in
-  ({ nl = nl'; nr = k - nl'; gset = None; gcsr = Some sub }, ids)
+  ({ nl = nl'; nr = k - nl'; csr = sub }, ids)
 
 let flip g =
-  let b = Ugraph.Builder.create (g.nl + g.nr) in
-  iter_edges g (fun i j -> Ugraph.Builder.add_edge b (g.nr + i) j);
-  of_set ~nl:g.nr ~nr:g.nl (Ugraph.Builder.build b)
+  stream ~nl:g.nr ~nr:g.nl (fun f ->
+      iter_underlying g (fun i v -> f (v - g.nl) (g.nr + i)))
 
 let of_ugraph u =
   let n = Ugraph.n u in
@@ -298,22 +244,18 @@ let of_ugraph u =
         incr next_r
       end
     done;
-    let b = Ugraph.Builder.create (!next_l + !next_r) in
-    List.iter
-      (fun (x, y) ->
-        match (mapping.(x), mapping.(y)) with
-        | L i, R j | R j, L i -> Ugraph.Builder.add_edge b i (!next_l + j)
-        | L _, L _ | R _, R _ -> assert false)
-      (Ugraph.edges u);
-    Some (of_set ~nl:!next_l ~nr:!next_r (Ugraph.Builder.build b), mapping)
+    let nl = !next_l in
+    let under v = match mapping.(v) with L i -> i | R j -> nl + j in
+    let g =
+      stream ~nl ~nr:!next_r (fun f ->
+          Ugraph.fold_edges (fun x y () -> f (under x) (under y)) u ())
+    in
+    Some (g, mapping)
   end
 
-let is_connected g = Traverse.is_connected (ugraph g)
-
 (* CSR arrays are canonical per graph, so comparing them is structural
-   graph equality regardless of which representation either side was
-   built from or what shape its AVL cache has. *)
-let equal a b = a.nl = b.nl && a.nr = b.nr && Csr.equal (csr a) (csr b)
+   graph equality whatever edit history built either side. *)
+let equal a b = a.nl = b.nl && a.nr = b.nr && Csr.equal a.csr b.csr
 
 let pp_node ppf = function
   | L i -> Format.fprintf ppf "L%d" i

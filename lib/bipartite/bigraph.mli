@@ -4,13 +4,11 @@
     lower conceptual level; right nodes ([V2], indices [0 .. nr-1])
     model relations / higher level. Internally the graph lives on
     [nl + nr] underlying nodes with right node [j] stored at index
-    [nl + j], in {e either} adjacency form: the set-based
-    {!Graphs.Ugraph.t} or the flat {!Graphs.Csr.t}. Whichever form a
-    constructor produced is kept; the other is derived lazily on first
-    use and cached (the caches are invisible: every function is pure on
-    the graph value). Stream construction ([of_edge_iter], [of_csr])
-    therefore never materialises per-node sets — the million-node fast
-    path — while set-based consumers still get [ugraph] on demand.
+    [nl + j], as one immutable flat {!Graphs.Csr.t}. Constructors
+    stream their edges into [Csr.of_edge_iter] and edits rewrite only
+    the touched rows, so no path materialises per-node sets; callers
+    that want the set-based {!Graphs.Ugraph.t} convert explicitly with
+    {!ugraph}.
     This module maintains the bipartition invariant and provides typed
     access. *)
 
@@ -27,14 +25,14 @@ type node = L of int | R of int
 val create : nl:int -> nr:int -> t
 
 val of_edges : nl:int -> nr:int -> (int * int) list -> t
-(** Edges as (left index, right index) pairs. Builder-based (linear in
-    n + m); kept as the convenient API for small callers. *)
+(** Edges as (left index, right index) pairs: {!of_edge_iter} over the
+    list. Duplicates and arbitrary order are fine. *)
 
 val of_edge_iter : nl:int -> nr:int -> ((int -> int -> unit) -> unit) -> t
-(** Direct-to-CSR stream construction: [iter f] calls [f i j] once per
-    (left, right) edge occurrence and must replay identically when
-    invoked twice (see [Csr.of_edge_iter]). Duplicates and arbitrary
-    order are fine; no set-based adjacency is ever built. *)
+(** Stream construction: [iter f] calls [f i j] once per (left, right)
+    edge occurrence and must replay identically when invoked twice
+    (see [Csr.of_edge_iter]). Duplicates and arbitrary order are
+    fine. *)
 
 val of_csr : nl:int -> nr:int -> Csr.t -> t
 (** Adopt a prebuilt CSR on [nl + nr] underlying nodes. Validates the
@@ -45,31 +43,31 @@ val of_bipartite_ugraph : nl:int -> Ugraph.t -> t
     [nl], rights above). Validates that every edge crosses the
     boundary; [nr] is [Ugraph.n u - nl]. *)
 
-val compact : t -> t
-(** A canonical CSR-only copy: the set-based cache (whose AVL shape
-    depends on construction history) is dropped, so marshaling the
-    result is byte-reproducible for equal graphs. Used by the plan
-    serializer. *)
+(** {2 Edits}
+
+    Each edit returns a new graph that rewrites the touched adjacency
+    rows and copies the others as whole runs ([Csr.replace_rows]:
+    O(n + m) array copies, no per-edge work); the input graph is never
+    touched. Re-adding a present edge or removing an absent one
+    returns the input itself. *)
 
 val add_edge : t -> int -> int -> t
 (** [add_edge g i j] connects left [i] and right [j]. *)
 
 val remove_edge : t -> int -> int -> t
-(** [remove_edge g i j] disconnects left [i] and right [j]; a no-op
-    when the edge is absent. *)
+(** [remove_edge g i j] disconnects left [i] and right [j]. *)
 
 val add_relation : t -> Iset.t -> t
 (** [add_relation g attrs] appends a fresh right node connected to the
     given left indices. The new relation gets right index [nr g]
-    (underlying index [n g]); no existing index moves, and every other
-    adjacency row is shared with [g]. O(n + |attrs| log n). *)
+    (underlying index [n g]); no existing index moves. *)
 
 val remove_relation : t -> int -> t
 (** [remove_relation g j] deletes right node [j] and its incident
     edges. Right indices above [j] (and their underlying indices)
-    shift down by one, which costs a rebuild, O(n + m); removing the
-    last relation ([j = nr - 1]) leaves every surviving index unchanged
-    and costs O(n + deg j log n). *)
+    shift down by one, which rebuilds the CSR from the renumbered edge
+    stream; removing the last relation ([j = nr - 1]) leaves every
+    surviving index unchanged. *)
 
 val induced : t -> Iset.t -> t * int array
 (** [induced g w] materialises the sub-bigraph induced by a set of
@@ -84,13 +82,14 @@ val n : t -> int
 val m : t -> int
 
 val ugraph : t -> Ugraph.t
-(** The underlying set-based graph; left node [i] is index [i], right
-    node [j] is index [nl + j]. Derived from the CSR (linearly) and
-    cached on first call when the graph was stream-built. *)
+(** The underlying graph converted to the set-based form, for
+    set-based callers (the data model, figures, brute-force oracles,
+    reductions); left node [i] is index [i], right node [j] is index
+    [nl + j]. Not cached: every call is an O(n + m) conversion, so
+    the engine's compile, delta and query paths never call it. *)
 
 val csr : t -> Csr.t
-(** The underlying flat adjacency, same index layout. Derived and
-    cached on first call when the graph was set-built. *)
+(** The underlying flat adjacency, same index layout. O(1). *)
 
 val index : t -> node -> int
 val node_of_index : t -> int -> node
@@ -128,8 +127,6 @@ val of_ugraph : Ugraph.t -> (t * node array) option
 (** 2-colour a graph: [Some (bg, mapping)] when bipartite, where
     [mapping.(v)] tells where underlying node [v] of the input went.
     Isolated nodes are placed on the left. *)
-
-val is_connected : t -> bool
 
 val equal : t -> t -> bool
 

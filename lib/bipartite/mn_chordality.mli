@@ -1,27 +1,18 @@
-(** (m, n)-chordality of bipartite graphs (Definition 4) and the three
-    classes the paper singles out, with the fast recognisers delivered
-    by Theorem 1:
+(** (m, n)-chordality of bipartite graphs (Definition 4): the fast
+    recognisers Theorem 1 delivers for the three classes the paper
+    singles out.
 
     - (4,1)-chordal ⇔ H¹ Berge-acyclic ⇔ the graph is a forest;
     - (6,2)-chordal ⇔ H¹ γ-acyclic;
-    - (6,1)-chordal ⇔ H¹ β-acyclic ("chordal bipartite" graphs),
-      also recognised independently by bisimplicial edge elimination
-      (Golumbic–Goss).
+    - (6,1)-chordal ⇔ H¹ β-acyclic ("chordal bipartite" graphs).
 
-    The brute-force checker enumerates cycles and counts chords; it is
-    the definitional oracle for the test suite. *)
-
-val is_mn_chordal_brute : Bigraph.t -> m:int -> n:int -> bool
-(** Every cycle of length at least [m] has at least [n] chords.
-    Exponential. *)
+    The definitional brute-force checker (cycle enumeration with chord
+    counting) and the independent bisimplicial-elimination recogniser
+    (Golumbic–Goss) are test oracles and live with the test suite. *)
 
 val is_41_chordal : Bigraph.t -> bool
+(** [m = n - #components], read off the CSR. *)
 
 val is_62_chordal : Bigraph.t -> bool
 
 val is_61_chordal : Bigraph.t -> bool
-
-val is_61_chordal_bisimplicial : Bigraph.t -> bool
-(** Independent recogniser: greedily delete bisimplicial edges (edges
-    [(u, v)] with [N(u) ∪ N(v)] inducing a complete bipartite subgraph);
-    the graph is chordal bipartite iff all edges get deleted. *)

@@ -3,10 +3,14 @@ module Bigraph = Bipartite.Bigraph
 module Delta = Bipartite.Delta
 module Fault = Runtime.Fault
 
-(* Format 2 adds the [journal] header line: the delta-journal digest
+(* Format 2 added the [journal] header line: the delta-journal digest
    distinguishing an evolved plan (patched from a base schema by a
-   recorded delta sequence) from the fresh compile of that base. *)
-let format_version = 2
+   recorded delta sequence) from the fresh compile of that base.
+   Format 3 changes the payload's record layout (the graph is one CSR,
+   no optional set-view field). The default commit line is the same
+   across builds, so only the version stops an older payload from
+   being unmarshaled at the wrong shape. *)
+let format_version = 3
 let magic = Printf.sprintf "minconn-plan/%d" format_version
 
 let default_commit =

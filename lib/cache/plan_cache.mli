@@ -6,7 +6,7 @@
     join-tree prep entirely — the next amortization rung after the
     in-process session engine.
 
-    {2 Entry format (minconn-plan/2)}
+    {2 Entry format (minconn-plan/3)}
 
     One file per plan. A fresh compile of schema [S] is named
     [<schema_hash S>.plan]; a plan evolved from base schema [S] by a

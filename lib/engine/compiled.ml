@@ -69,24 +69,18 @@ let schema_hash g =
   Digest.to_hex (Digest.string (Buffer.contents b))
 
 (* Marshal-safety audit (pinned by test/test_cache.ml): every field of
-   [t] is first-order data — Bigraph is a record of ints and optional
-   Ugraph ([Iset.t array]; Set.Make(Int): plain AVL blocks) / Csr (int
-   arrays) views, Classify.profile is bools plus Acyclicity.degree
-   variants, and each component holds an Iset, an int list, a profile
-   and an [(Algorithm1.prep, error) result] whose prep is
-   {comp; w_order} — no closures, lazies or custom blocks anywhere.
-   The lazy compiled handles live in Datamodel.Schema/Layered (outside
+   [t] is first-order data — Bigraph is a record of two ints and a Csr
+   (two ints and two int arrays), Classify.profile is bools plus
+   Acyclicity.degree variants, and each component holds an Iset
+   (Set.Make(Int): plain AVL blocks), an int list, a profile and an
+   [(Algorithm1.prep, error) result] whose prep is {comp; w_order} —
+   no closures, lazies, mutable caches or custom blocks anywhere. The
+   lazy compiled handles live in Datamodel.Schema/Layered (outside
    [t]) and the mutable solver scratch lives in Session, rebuilt by
-   [Session.create]; neither is ever marshaled.
-
-   The graph is compacted to its canonical CSR-only form first: the
-   set-based cache's AVL shape depends on construction history, and
-   dropping it keeps to_bytes byte-reproducible across equal plans
-   (pinned by test_cache's save/load round-trip). *)
-let to_bytes t =
-  Marshal.to_string
-    { t with graph = Bigraph.compact t.graph }
-    [ Marshal.No_sharing ]
+   [Session.create]; neither is ever marshaled. The graph's CSR arrays
+   are canonical per graph, so equal plans from [compile] marshal to
+   equal bytes (pinned by test_cache's save/load round-trip). *)
+let to_bytes t = Marshal.to_string t [ Marshal.No_sharing ]
 
 (* Structural sanity net under the payload checksum: catches an
    envelope that validated but framed bytes marshaled by an
@@ -151,10 +145,6 @@ let build_components ?pool ~trace graph comps =
 
 let compile ?pool ?(trace = Observe.Trace.disabled)
     ?(metrics = Observe.Metrics.disabled) graph =
-  (* Force the flat adjacency before any domain fan-out: a stream-built
-     graph compiles straight off its CSR (the set view is never
-     touched), and the cache is filled before worker domains start
-     reading it. *)
   let c = Bigraph.csr graph in
   Observe.Trace.span trace "compile"
     ~attrs:
@@ -218,6 +208,18 @@ let replan ?pool ~trace ~metrics graph ~kept ~rebuilt_sets =
     (Observe.Metrics.counter metrics "engine.delta.recompiled_components");
   ({ graph; profile; comp_id; components }, List.rev !recompiled)
 
+(* The connected components of the subgraph induced by [nodes], as
+   node sets of [g]: labelled on the induced slice's CSR, so a split
+   costs the old component, not the graph. The slice's renumbering is
+   ascending, so mapping each piece back through [ids] keeps it
+   sorted. *)
+let split g nodes =
+  let sub, ids = Bigraph.induced g nodes in
+  List.map
+    (fun piece ->
+      Iset.of_list (List.map (Array.get ids) (Iset.elements piece)))
+    (snd (Csr.component_ids (Bigraph.csr sub)))
+
 let apply_delta ?pool ?(trace = Observe.Trace.disabled)
     ?(metrics = Observe.Metrics.disabled) t op =
   match Delta.apply t.graph op with
@@ -243,7 +245,6 @@ let apply_delta ?pool ?(trace = Observe.Trace.disabled)
     Observe.Metrics.incr (Observe.Metrics.counter metrics "engine.delta.applied");
     let nl = Bigraph.nl t.graph in
     let total = Array.length t.components in
-    let u' = Bigraph.ugraph g' in
     (* Removing an interior relation shifts every higher underlying
        index, invalidating the node sets, orderings and join-tree preps
        of untouched components wholesale — the conservative fallback
@@ -284,7 +285,7 @@ let apply_delta ?pool ?(trace = Observe.Trace.disabled)
               [ Iset.union t.components.(a).nodes t.components.(b).nodes ] )
         | Delta.Remove_edge (i, _) ->
           let a = t.comp_id.(i) in
-          ([ a ], Traverse.components ~within:t.components.(a).nodes u')
+          ([ a ], split g' t.components.(a).nodes)
         | Delta.Add_relation attrs ->
           let v = Bigraph.n t.graph in
           let cids =
@@ -303,7 +304,7 @@ let apply_delta ?pool ?(trace = Observe.Trace.disabled)
           let v = nl + j in
           let a = t.comp_id.(v) in
           let rest = Iset.remove v t.components.(a).nodes in
-          ([ a ], Traverse.components ~within:rest u')
+          ([ a ], split g' rest)
       in
       let kept =
         Array.of_seq

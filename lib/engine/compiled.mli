@@ -28,9 +28,8 @@ type component = {
 
 type t = {
   graph : Bigraph.t;
-      (** the flat CSR is always present after compilation (via {!csr});
-          queries read it through {!local} and never derive the set
-          view, which only callers of {!ugraph} force *)
+      (** the schema as one immutable CSR (via {!csr}); queries read it
+          through {!local}, deltas through [Bigraph.induced] *)
   profile : Classify.profile;
   comp_id : int array;  (** component index per node *)
   components : component array;
@@ -54,7 +53,12 @@ val compile :
     no budgeted work — budgets meter queries only. *)
 
 val graph : t -> Bigraph.t
+
 val ugraph : t -> Ugraph.t
+(** [Bigraph.ugraph] of the plan's graph: an uncached O(n + m)
+    conversion for set-based callers. No compile, delta, plan-load or
+    query path calls it. *)
+
 val csr : t -> Csr.t
 val profile : t -> Classify.profile
 val n_components : t -> int
@@ -134,8 +138,9 @@ val apply_deltas :
 
 (** {2 Serialization}
 
-    The compiled plan is deliberately first-order data — no closures,
-    lazies or custom blocks (the lazy compiled handles of
+    The compiled plan is deliberately first-order, immutable data — no
+    closures, lazies, mutable caches or custom blocks (the lazy
+    compiled handles of
     [Datamodel.Schema]/[Layered] wrap a plan, they are not inside it,
     and the mutable solver scratch lives in {!Session}, rebuilt from
     the plan by [Session.create]) — so [Marshal] round-trips it
@@ -150,7 +155,8 @@ val schema_hash : Bigraph.t -> string
     plan cache keys entries by this hash. *)
 
 val to_bytes : t -> string
-(** Marshal the plan. Total on any plan [compile] can produce. *)
+(** Marshal the plan as it is. Total on any plan [compile] can
+    produce; equal plans from [compile] give equal bytes. *)
 
 val of_bytes : string -> t option
 (** Unmarshal and structurally sanity-check a {!to_bytes} payload

@@ -299,10 +299,8 @@ let solve_many ?pool ?budget ?make_budget ?degrade t ps =
          (?make_budget, e.g. fun _ -> Budget.Shared.view handle); one \
          mutable budget cannot be shared across domains";
     let ps = Array.of_list ps in
-    (* Force the CSR view on the coordinator before fan-out so worker
-       domains only read the plan's caches, never fill them. Each query
-       builds its own local graph, so workers share no mutable state. *)
-    ignore (Compiled.csr t.compiled);
+    (* The plan is immutable and each query builds its own local graph,
+       so workers share no mutable state. *)
     let forks = Array.map (fun _ -> Observe.Trace.fork t.trace) ps in
     let out =
       Parallel.Pool.mapi_worker pool

@@ -2,40 +2,6 @@ let default_within g = function
   | Some w -> w
   | None -> Ugraph.nodes g
 
-(* Set-based reference implementation, kept for differential testing
-   and benchmarking; the public [is_perfect_elimination_order] below is
-   the CSR port and decides exactly the same predicate. *)
-let is_perfect_elimination_order_sets ?within g order =
-  let w = default_within g within in
-  let pos = Hashtbl.create 16 in
-  List.iteri (fun i v -> Hashtbl.replace pos v i) order;
-  Iset.equal w (Iset.of_list order)
-  && List.length order = Iset.cardinal w
-  && List.for_all
-       (fun v ->
-         let i = Hashtbl.find pos v in
-         let later =
-           Iset.filter
-             (fun u -> Hashtbl.find pos u > i)
-             (Ugraph.adj_within g ~within:w v)
-         in
-         match Iset.min_elt_opt later with
-         | None -> true
-         | Some _ ->
-           (* The earliest later neighbor must see all the others; this
-              suffices by induction (Rose–Tarjan–Lueker). *)
-           let parent =
-             Iset.fold
-               (fun u best ->
-                 if Hashtbl.find pos u < Hashtbl.find pos best then u
-                 else best)
-               later (Iset.max_elt later)
-           in
-           Iset.subset
-             (Iset.remove parent later)
-             (Ugraph.adj_within g ~within:w parent))
-       order
-
 let is_perfect_elimination_order ?within g order =
   let w = default_within g within in
   if
@@ -75,11 +41,6 @@ let perfect_elimination_order ?within g =
   else None
 
 let is_chordal ?within g = perfect_elimination_order ?within g <> None
-
-let is_chordal_sets ?within g =
-  let w = default_within g within in
-  let candidate = List.rev (Lexbfs.lexbfs_order_sets ~within:w g) in
-  is_perfect_elimination_order_sets ~within:w g candidate
 
 let is_chordal_brute ?within g =
   let w = default_within g within in

@@ -147,6 +147,105 @@ let of_ugraph g =
 let n t = t.n
 let m t = t.m
 
+let row_valid n u r =
+  let ok = ref true in
+  Array.iteri
+    (fun k v ->
+      if v < 0 || v >= n || v = u || (k > 0 && r.(k - 1) >= v) then
+        ok := false)
+    r;
+  !ok
+
+(* Binary search for [v] in [col.(lo .. hi - 1)]. *)
+let mem_sorted col lo hi v =
+  let lo = ref lo and hi = ref (hi - 1) and found = ref false in
+  while (not !found) && !lo <= !hi do
+    let mid = (!lo + !hi) / 2 in
+    let w = col.(mid) in
+    if w = v then found := true
+    else if w < v then lo := mid + 1
+    else hi := mid - 1
+  done;
+  !found
+
+(* A few rows change and the rest move as whole runs: one blit per run
+   of untouched rows plus a shifted copy of their offsets, so an edit
+   costs two array copies instead of a per-edge rebuild. Symmetry is
+   checked on the changed rows only, which suffices: an asymmetric pair
+   of the result has a changed endpoint, since [t] was symmetric. *)
+let replace_rows t ~n rows =
+  if n < 0 then invalid_arg "Csr.replace_rows: negative size";
+  let rows = List.sort (fun (a, _) (b, _) -> Int.compare a b) rows in
+  let rec check_rows = function
+    | (u, _) :: ((u', _) :: _ as rest) ->
+      if u = u' then invalid_arg "Csr.replace_rows: duplicate row";
+      check_rows rest
+    | _ -> ()
+  in
+  check_rows rows;
+  List.iter
+    (fun (u, r) ->
+      if u < 0 || u >= n || not (row_valid n u r) then
+        invalid_arg "Csr.replace_rows: invalid row")
+    rows;
+  let old_len u = if u < t.n then t.row.(u + 1) - t.row.(u) else 0 in
+  let total =
+    List.fold_left
+      (fun acc (u, r) -> acc - old_len u + Array.length r)
+      t.row.(min n t.n) rows
+  in
+  let row = Array.make (n + 1) 0 and col = Array.make total 0 in
+  let w = ref 0 in
+  (* Rows [lo .. hi - 1] unchanged: [t]'s rows, empty past [t.n]. *)
+  let copy_run lo hi =
+    let top = max lo (min hi t.n) in
+    if lo < top then begin
+      let shift = !w - t.row.(lo) in
+      for u = lo to top - 1 do
+        row.(u) <- t.row.(u) + shift
+      done;
+      let len = t.row.(top) - t.row.(lo) in
+      Array.blit t.col t.row.(lo) col !w len;
+      w := !w + len
+    end;
+    for u = top to hi - 1 do
+      row.(u) <- !w
+    done
+  in
+  let next =
+    List.fold_left
+      (fun lo (u, r) ->
+        copy_run lo u;
+        row.(u) <- !w;
+        Array.blit r 0 col !w (Array.length r);
+        w := !w + Array.length r;
+        u + 1)
+      0 rows
+  in
+  copy_run next n;
+  row.(n) <- !w;
+  (* Every edge [t] had at a changed or dropped row [u] must be gone
+     from the other endpoint too, and every edge of a changed row must
+     be present there. *)
+  let has u v = mem_sorted col row.(u) row.(u + 1) v in
+  let asymmetric () = invalid_arg "Csr.replace_rows: asymmetric" in
+  let check_old u =
+    if u < t.n then
+      for k = t.row.(u) to t.row.(u + 1) - 1 do
+        let v = t.col.(k) in
+        if v < n && (u >= n || not (has u v)) && has v u then asymmetric ()
+      done
+  in
+  List.iter
+    (fun (u, r) ->
+      Array.iter (fun v -> if not (has v u) then asymmetric ()) r;
+      check_old u)
+    rows;
+  for u = n to t.n - 1 do
+    check_old u
+  done;
+  { n; m = total / 2; row; col }
+
 let check t u =
   if u < 0 || u >= t.n then invalid_arg "Csr: node out of range"
 
@@ -175,16 +274,7 @@ let fold_neighbors t u f acc =
 let mem_edge t u v =
   check t u;
   check t v;
-  let lo = ref t.row.(u) and hi = ref (t.row.(u + 1) - 1) in
-  let found = ref false in
-  while (not !found) && !lo <= !hi do
-    let mid = (!lo + !hi) / 2 in
-    let w = t.col.(mid) in
-    if w = v then found := true
-    else if w < v then lo := mid + 1
-    else hi := mid - 1
-  done;
-  !found
+  mem_sorted t.col t.row.(u) t.row.(u + 1) v
 
 let adj_within t within u =
   check t u;

@@ -26,6 +26,19 @@ val of_edges : n:int -> (int * int) list -> t
 (** [of_edge_iter] over a concrete list. Same tolerance for duplicates
     and ordering as {!of_edge_iter}. *)
 
+val replace_rows : t -> n:int -> (int * int array) list -> t
+(** [replace_rows t ~n rows] is the adjacency on [n] nodes whose row
+    [u] is the array paired with [u] in [rows], and [t]'s row [u]
+    otherwise (empty for [u >= n t]; rows of [t] at or above [n] are
+    dropped). Each given row must be ascending, duplicate-free, in
+    range and free of [u], and the result must be symmetric — the
+    edits of an edge appear in both endpoints' rows; violations raise
+    [Invalid_argument] (checked on the changed and dropped rows only,
+    which is enough because [t] is symmetric). Untouched rows move as
+    whole runs: O(n + m) array copies plus O(Σ changed degrees ×
+    log degree), no per-edge callback and no sort — the cost of a
+    small edit to a large graph. *)
+
 val equal : t -> t -> bool
 (** Structural equality — and canonical: any two constructions of the
     same graph (whatever edge order or duplication built them) yield
@@ -62,9 +75,7 @@ val degree_within : t -> Bitset.t -> int -> int
 
 val to_ugraph : t -> Ugraph.t
 (** Round-trip back to the set-based representation. Linear: each
-    sorted row becomes an adjacency set without per-edge AVL inserts,
-    so lazily deriving the set view of a million-node CSR is cheap
-    enough for the few remaining set-based consumers. *)
+    sorted row becomes an adjacency set without per-edge AVL inserts. *)
 
 module Builder : sig
   type csr := t

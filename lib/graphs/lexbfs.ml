@@ -1,79 +1,3 @@
-let default_within g = function
-  | Some w -> w
-  | None -> Ugraph.nodes g
-
-(* Generic greedy search: repeatedly pick an unvisited node with the
-   best label (ties broken by smallest id), then let each unvisited
-   neighbor absorb the visit timestamp into its label. LexBFS compares
-   timestamp lists lexicographically; MCS compares their lengths.
-
-   This set-based version is kept as the differential-testing and
-   benchmarking reference; the public [lexbfs_order] / [mcs_order]
-   below are the flat CSR ports and produce identical orders. *)
-let greedy_order ~better ?within ?start g =
-  let w = default_within g within in
-  let labels = Hashtbl.create 16 in
-  let label v =
-    match Hashtbl.find_opt labels v with Some l -> l | None -> []
-  in
-  let visited = Array.make (Ugraph.n g) false in
-  let order = ref [] in
-  let pick () =
-    Iset.fold
-      (fun v acc ->
-        if visited.(v) then acc
-        else
-          match acc with
-          | None -> Some v
-          | Some u -> if better (label v) (label u) then Some v else Some u)
-      w None
-  in
-  let visit time v =
-    visited.(v) <- true;
-    order := v :: !order;
-    Iset.iter
-      (fun u ->
-        if not visited.(u) then Hashtbl.replace labels u (label u @ [ time ]))
-      (Ugraph.adj_within g ~within:w v)
-  in
-  (match start with
-  | Some s when Iset.mem s w -> visit 0 s
-  | Some _ | None -> ());
-  let time = ref (List.length !order) in
-  let rec loop () =
-    match pick () with
-    | None -> ()
-    | Some v ->
-      visit !time v;
-      incr time;
-      loop ()
-  in
-  loop ();
-  List.rev !order
-
-(* Labels are increasing timestamp lists (earliest visited neighbor
-   first). The LexBFS rule treats earlier timestamps as lexicographically
-   greater symbols, and a proper extension of a label beats the label. *)
-let rec lex_gt a b =
-  match (a, b) with
-  | [], _ -> false
-  | _ :: _, [] -> true
-  | x :: a', y :: b' -> x < y || (x = y && lex_gt a' b')
-
-let lexbfs_order_sets ?within ?start g =
-  greedy_order ~better:lex_gt ?within ?start g
-
-let mcs_order_sets ?within ?start g =
-  let better a b = List.length a > List.length b in
-  greedy_order ~better ?within ?start g
-
-(* ------------------------------------------------------------------ *)
-(* CSR kernels. Same greedy rule and tie-breaking as the reference
-   above (ascending scan, strictly-better replaces, so the smallest id
-   wins ties), but adjacency comes from a flat CSR row, visited/within
-   are plain arrays, and labels live in per-node int buffers instead of
-   a hashtable of lists.                                               *)
-
 let members_array g within =
   let inw = Array.make (Ugraph.n g) (within = None) in
   (match within with
@@ -81,6 +5,14 @@ let members_array g within =
   | None -> ());
   inw
 
+(* Generic greedy search over a flat CSR adjacency: repeatedly pick an
+   unvisited node with the best label (ties broken by smallest id:
+   ascending scan, strictly-better replaces), then let each unvisited
+   neighbor absorb the visit timestamp into its label. LexBFS compares
+   timestamp lists lexicographically; MCS compares their lengths.
+   Visited/within are plain arrays and labels live in per-node int
+   buffers. The set-based reference in the test oracle uses the same
+   rule and tie-breaking, so the orders are identical. *)
 let greedy_order_kernel ~better ~absorb csr inw start =
   let n = Csr.n csr in
   let visited = Array.make n false in

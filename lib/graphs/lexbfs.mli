@@ -2,19 +2,14 @@
 
     These are the two classical linear-time vertex orderings whose
     reversal is a perfect elimination ordering exactly on chordal
-    graphs (Rose–Tarjan–Lueker; Tarjan–Yannakakis). The public
-    functions are O(n^2) label kernels over a flat {!Csr} adjacency;
-    the original [Set]-based versions are kept under a [_sets] suffix
-    as references for differential testing and benchmarking — both
-    implementations use the same greedy rule and tie-breaking (smallest
-    node id), so they return {e identical} orders. *)
+    graphs (Rose–Tarjan–Lueker; Tarjan–Yannakakis). Both are O(n^2)
+    label kernels over a flat {!Csr} adjacency with ties broken by the
+    smallest node id; the test suite pins them order-for-order against
+    a set-based reference. *)
 
 val lexbfs_order : ?within:Iset.t -> ?start:int -> Ugraph.t -> int list
 (** Visit order (first visited first). Components are exhausted one at a
     time; [start] selects the first node. *)
-
-val lexbfs_order_sets : ?within:Iset.t -> ?start:int -> Ugraph.t -> int list
-(** Set-based reference implementation of {!lexbfs_order}. *)
 
 val lexbfs_partition_order : ?within:Iset.t -> ?start:int -> Ugraph.t -> int list
 (** Independent second implementation by partition refinement (the
@@ -26,6 +21,3 @@ val lexbfs_partition_order : ?within:Iset.t -> ?start:int -> Ugraph.t -> int lis
 
 val mcs_order : ?within:Iset.t -> ?start:int -> Ugraph.t -> int list
 (** Maximum cardinality search visit order. *)
-
-val mcs_order_sets : ?within:Iset.t -> ?start:int -> Ugraph.t -> int list
-(** Set-based reference implementation of {!mcs_order}. *)

@@ -1,46 +1,10 @@
 open Graphs
 
-(* Set-based reference implementation, kept for differential testing
-   and benchmarking; [edge_order] below is the bitset port and returns
-   the identical ordering (same greedy rule, smallest index wins
-   ties). *)
-let edge_order_sets ?start h =
-  let q = Hypergraph.n_edges h in
-  let selected = Array.make q false in
-  let marked = ref Iset.empty in
-  let order = ref [] in
-  let score i = Iset.cardinal (Iset.inter (Hypergraph.edge h i) !marked) in
-  let select i =
-    selected.(i) <- true;
-    marked := Iset.union !marked (Hypergraph.edge h i);
-    order := i :: !order
-  in
-  (match start with
-  | Some i when i >= 0 && i < q -> select i
-  | Some _ -> invalid_arg "Mcs.edge_order: start out of range"
-  | None -> ());
-  let rec loop () =
-    let best = ref (-1) and best_score = ref (-1) in
-    for i = 0 to q - 1 do
-      if not selected.(i) then begin
-        let s = score i in
-        if s > !best_score then begin
-          best := i;
-          best_score := s
-        end
-      end
-    done;
-    if !best >= 0 then begin
-      select !best;
-      loop ()
-    end
-  in
-  loop ();
-  List.rev !order
-
 (* Bitset kernel: every hyperedge becomes a dense bitset once, the
    marked-node set is a single mutable bitset, and each score is one
-   allocation-free [inter_card] sweep. *)
+   allocation-free [inter_card] sweep. The greedy rule (smallest index
+   wins ties) is the set-based reference's in the test oracle, so the
+   orderings are identical. *)
 let edge_order ?start h =
   let q = Hypergraph.n_edges h in
   let nn = Hypergraph.n_nodes h in

@@ -13,10 +13,6 @@ val edge_order : ?start:int -> Hypergraph.t -> int list
     exhausted before the next begins. Runs on dense
     [Graphs.Bitset] node sets ([inter_card] per candidate edge). *)
 
-val edge_order_sets : ?start:int -> Hypergraph.t -> int list
-(** Set-based reference implementation of {!edge_order}; returns the
-    identical ordering. Differential-testing and benchmarking only. *)
-
 val alpha_acyclic : ?start:int -> Hypergraph.t -> bool
 (** [Join_tree.rip_holds h (edge_order h)]. *)
 

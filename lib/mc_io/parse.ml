@@ -201,7 +201,7 @@ let hypergraph_of_string_unguarded text =
     let rec consume = function
       | [] -> Ok ()
       | (i, cs, "nodes" :: names) :: rest ->
-        nodes := !nodes @ names;
+        nodes := List.rev_append names !nodes;
         if names = [] then err i (col_at cs 0) "'nodes' line with no names"
         else consume rest
       | (i, cs, "edge" :: name :: members) :: rest ->
@@ -218,14 +218,21 @@ let hypergraph_of_string_unguarded text =
     (match consume lines with
     | Error e -> Error e
     | Ok () ->
-      let node_names = Array.of_list !nodes in
+      let node_names = Array.of_list (List.rev !nodes) in
+      (* Hashed name lookup (first occurrence wins, as a scan would):
+         a linear scan per edge member is quadratic on large files. *)
+      let index = Hashtbl.create (Array.length node_names) in
+      Array.iteri
+        (fun v name ->
+          if not (Hashtbl.mem index name) then Hashtbl.add index name v)
+        node_names;
       let rec build acc = function
         | [] -> Ok (List.rev acc)
         | (i, _, members) :: rest ->
           let rec resolve set = function
             | [] -> Ok set
             | (c, m) :: ms -> (
-              match index_of node_names m with
+              match Hashtbl.find_opt index m with
               | Some v -> resolve (Iset.add v set) ms
               | None -> err i c "unknown node '%s'" m)
           in
@@ -475,8 +482,7 @@ let schema_to_string schema =
 let hypergraph_to_string h ~node_names ~edge_names =
   let buf = Buffer.create 256 in
   Buffer.add_string buf "hypergraph\n";
-  Buffer.add_string buf
-    ("nodes " ^ String.concat " " (Array.to_list node_names) ^ "\n");
+  add_name_lines buf "nodes" node_names;
   Array.iteri
     (fun i e ->
       Buffer.add_string buf

@@ -15,38 +15,6 @@ type result = {
   elimination_order : int list;
 }
 
-(* Step 2 of the algorithm, set-based reference: scan the Lemma 1
-   ordering and delete each right node together with its private left
-   neighbors whenever the remainder still covers the terminals. A
-   single pass can leave a right node that was only blocked by
-   structure deleted later in the same pass (covers must be connected
-   as a whole); re-scan in the same W order until a fixpoint so the
-   result is V2-nonredundant as Theorem 3's proof requires. *)
-let eliminate_sets u ~comp ~p w_order =
-  let step current v =
-    if not (Iset.mem v current) then current
-    else begin
-      let doomed =
-        Iset.add v (Ugraph.private_neighbors u ~within:current v)
-      in
-      if not (Iset.is_empty (Iset.inter doomed p)) then current
-      else
-        let candidate = Iset.diff current doomed in
-        if Cover.is_cover u ~p candidate then begin
-          Log.debug (fun m ->
-              m "eliminating right node %d with Adj* %a" v Iset.pp
-                (Iset.remove v doomed));
-          candidate
-        end
-        else current
-    end
-  in
-  let rec fixpoint current =
-    let next = List.fold_left step current w_order in
-    if Iset.equal next current then current else fixpoint next
-  in
-  fixpoint comp
-
 (* The flat-kernel elimination keeps all its working state in a scratch
    record so a session serving many queries over the same graph builds
    the CSR adjacency and the bitset/array buffers exactly once. *)
@@ -74,15 +42,40 @@ let make_scratch_csr csr =
     generation = 0;
   }
 
-let make_scratch ?csr u =
-  make_scratch_csr (match csr with Some c -> c | None -> Csr.of_ugraph u)
+(* Array-based BFS from [start] over the CSR rows restricted to
+   [within], each row visited ascending; [on_edge x y] sees every tree
+   edge in discovery order. Returns the number of nodes reached. *)
+let bfs s within start on_edge =
+  let { csr; queue; seen; _ } = s in
+  s.generation <- s.generation + 1;
+  let gen = s.generation in
+  seen.(start) <- gen;
+  queue.(0) <- start;
+  let head = ref 0 and tail = ref 1 in
+  while !head < !tail do
+    let x = queue.(!head) in
+    incr head;
+    Csr.iter_neighbors csr x (fun y ->
+        if seen.(y) <> gen && Bitset.mem within y then begin
+          seen.(y) <- gen;
+          queue.(!tail) <- y;
+          incr tail;
+          on_edge x y
+        end)
+  done;
+  !tail
 
-(* The same elimination as [eliminate_sets] on the flat kernels:
-   adjacency from a CSR row, node sets as dense bitsets, connectivity
-   by an array-based BFS. The decisions taken are exactly those of
-   [eliminate_sets]; only the scratch buffers differ. *)
+(* Step 2 of the algorithm: scan the Lemma 1 ordering and delete each
+   right node together with its private left neighbors whenever the
+   remainder still covers the terminals. A single pass can leave a
+   right node that was only blocked by structure deleted later in the
+   same pass (covers must be connected as a whole); re-scan in the same
+   W order until a fixpoint so the result is V2-nonredundant as
+   Theorem 3's proof requires. Adjacency comes from CSR rows, node sets
+   are dense bitsets and connectivity is an array-based BFS; the
+   set-based reference in the test oracle takes the same decisions. *)
 let eliminate_kernel_with s ~comp ~p w_order =
-  let { csr; current; pb; doomed; candidate; queue; seen; _ } = s in
+  let { csr; current; pb; doomed; candidate; _ } = s in
   Bitset.clear current;
   Iset.iter (Bitset.add current) comp;
   Bitset.clear pb;
@@ -90,23 +83,7 @@ let eliminate_kernel_with s ~comp ~p w_order =
   let connected within =
     match Bitset.min_elt_opt within with
     | None -> true
-    | Some start ->
-      s.generation <- s.generation + 1;
-      let gen = s.generation in
-      seen.(start) <- gen;
-      queue.(0) <- start;
-      let head = ref 0 and tail = ref 1 in
-      while !head < !tail do
-        let x = queue.(!head) in
-        incr head;
-        Csr.iter_neighbors csr x (fun y ->
-            if seen.(y) <> gen && Bitset.mem within y then begin
-              seen.(y) <- gen;
-              queue.(!tail) <- y;
-              incr tail
-            end)
-      done;
-      !tail = Bitset.card within
+    | Some start -> bfs s within start (fun _ _ -> ()) = Bitset.card within
   in
   let step v =
     if Bitset.mem current v then begin
@@ -144,8 +121,20 @@ let eliminate_kernel_with s ~comp ~p w_order =
   done;
   Bitset.to_iset current
 
-let eliminate_kernel u ~comp ~p w_order =
-  eliminate_kernel_with (make_scratch u) ~comp ~p w_order
+(* Step 3: a BFS spanning tree of the survivors, which
+   [eliminate_kernel_with] left in [s.current]. Started at the smallest
+   survivor with every row ascending, it visits in the order of
+   [Spanning.spanning_tree] and so returns the same edges; [None] when
+   the survivors are disconnected. *)
+let spanning_tree s survivors =
+  match Iset.min_elt_opt survivors with
+  | None -> Some []
+  | Some start ->
+    let edges = ref [] in
+    let reached =
+      bfs s s.current start (fun x y -> edges := (x, y) :: !edges)
+    in
+    if reached = Iset.cardinal survivors then Some (List.rev !edges) else None
 
 (* ------------------------------------------------------------------ *)
 (* Compile-once preprocessing: the Lemma 1 ordering depends only on
@@ -198,45 +187,38 @@ let prepare ?(trace = Observe.Trace.disabled) g ~comp =
   end
 
 (* Step 2 + Step 3 on an already-prepared component. [p] must lie
-   inside [prep.comp] (the caller established connectivity). *)
-let solve_prepared_with ~eliminate ?(trace = Observe.Trace.disabled) g prep ~p
-    =
+   inside [prep.comp] (the caller established connectivity). V2 nodes
+   are counted by index instead of through an O(nr) right-node set. *)
+let solve_prepared ?(trace = Observe.Trace.disabled) ?scratch g prep ~p =
   let nl = Bigraph.nl g in
+  let v2_count nodes = Iset.cardinal (Iset.filter (fun v -> v >= nl) nodes) in
   let comp = prep.comp in
   if Iset.cardinal comp <= 1 then
     Ok
       {
         tree = { Tree.nodes = comp; edges = [] };
-        v2_count = Iset.cardinal (Iset.filter (fun v -> v >= nl) comp);
+        v2_count = v2_count comp;
         elimination_order = [];
       }
   else begin
     Observe.Trace.span trace "algorithm1"
       ~attrs:[ ("component", Observe.Trace.Int (Iset.cardinal comp)) ]
     @@ fun () ->
+    let s =
+      match scratch with
+      | Some s -> s
+      | None -> make_scratch_csr (Bigraph.csr g)
+    in
     let survivors =
       Observe.Trace.span trace "algorithm1.eliminate" (fun () ->
-          eliminate ~comp ~p prep.w_order)
+          eliminate_kernel_with s ~comp ~p prep.w_order)
     in
-    (* The set view is only needed here, for tree extraction over the
-       (small) survivor set; count V2 nodes by index instead of an
-       O(nr) right-node set. *)
-    match Tree.of_node_set (Bigraph.ugraph g) survivors with
-    | Some tree ->
+    match spanning_tree s survivors with
+    | Some edges ->
       Ok
         {
-          tree;
-          v2_count =
-            Iset.cardinal (Iset.filter (fun v -> v >= nl) tree.Tree.nodes);
-          elimination_order = prep.w_order;
-        }
-    | None when Iset.is_empty survivors ->
-      (* Empty terminal set: everything was eliminated; the empty
-         tree connects nothing vacuously. *)
-      Ok
-        {
-          tree = { Tree.nodes = Iset.empty; edges = [] };
-          v2_count = 0;
+          tree = { Tree.nodes = survivors; edges };
+          v2_count = v2_count survivors;
           elimination_order = prep.w_order;
         }
     | None ->
@@ -246,29 +228,13 @@ let solve_prepared_with ~eliminate ?(trace = Observe.Trace.disabled) g prep ~p
       Error Disconnected_terminals
   end
 
-let solve_prepared ?trace ?scratch g prep ~p =
-  let eliminate =
-    match scratch with
-    | Some s -> eliminate_kernel_with s
-    | None -> eliminate_kernel_with (make_scratch_csr (Bigraph.csr g))
-  in
-  solve_prepared_with ~eliminate ?trace g prep ~p
-
-let solve_with ~eliminate ?trace g ~p =
-  let u = Bigraph.ugraph g in
-  match Traverse.component_containing u p with
+let solve ?trace g ~p =
+  match Traverse.component_containing (Bigraph.ugraph g) p with
   | None -> Error Disconnected_terminals
   | Some comp -> (
     match prepare ?trace g ~comp with
     | Error e -> Error e
-    | Ok prep -> solve_prepared_with ~eliminate:(eliminate u) ?trace g prep ~p
-    )
-
-let solve ?trace g ~p =
-  solve_with ~eliminate:(fun u -> eliminate_kernel u) ?trace g ~p
-
-let solve_sets ?trace g ~p =
-  solve_with ~eliminate:(fun u -> eliminate_sets u) ?trace g ~p
+    | Ok prep -> solve_prepared ?trace g prep ~p)
 
 let solve_wrt_v1 g ~p =
   let flipped = Bigraph.flip g in

@@ -68,13 +68,9 @@ type scratch
 (** Reusable elimination buffers (CSR adjacency, bitsets, BFS queue)
     sized for one graph. Not safe for concurrent use. *)
 
-val make_scratch : ?csr:Csr.t -> Ugraph.t -> scratch
-(** [csr], when given, must be [Csr.of_ugraph] of the same graph; it
-    lets a session share one adjacency arena across solver scratches. *)
-
 val make_scratch_csr : Csr.t -> scratch
-(** Same, directly from the flat adjacency — the stream-built session
-    path, which never touches the set view. *)
+(** Buffers over the graph's flat adjacency, which the scratch shares
+    (a session passes its plan's CSR). *)
 
 val solve_prepared :
   ?trace:Observe.Trace.t ->
@@ -84,15 +80,11 @@ val solve_prepared :
   p:Iset.t ->
   (result, error) Stdlib.result
 (** Steps 2–3 on an already-prepared component. [p] must lie inside the
-    prep's component (the caller has established connectivity). When
+    prep's component (the caller has established connectivity). Both
+    steps run on the scratch's CSR rows; the spanning tree has the
+    edges [Tree.of_node_set] would give on the survivor set. When
     [scratch] is omitted a fresh one is allocated, making this
     equivalent to the elimination phase of {!solve}. *)
-
-val solve_sets :
-  ?trace:Observe.Trace.t -> Bigraph.t -> p:Iset.t -> (result, error) Stdlib.result
-(** Set-based reference for the elimination loop; takes exactly the
-    same elimination decisions as {!solve} and returns the same result.
-    Differential-testing and benchmarking only. *)
 
 val solve_wrt_v1 : Bigraph.t -> p:Iset.t -> (result, error) Stdlib.result
 (** Same algorithm on the flipped graph: minimises left nodes, licensed

@@ -46,9 +46,10 @@ val to_bigraph : t -> Bigraph.t
     per-node set is ever materialised. *)
 
 val to_bigraph_sets : t -> Bigraph.t
-(** Set-based baseline (one AVL insertion per directed edge), equal to
-    {!to_bigraph} as a graph. Benchmark/differential-test reference —
-    do not use at n = 10^6. *)
+(** Set-based baseline (an edge list, one AVL insertion per directed
+    edge through [Ugraph.Builder], then [Bigraph.of_bipartite_ugraph]),
+    equal to {!to_bigraph} as a graph. Benchmark/differential-test
+    reference — do not use at n = 10^6. *)
 
 val to_csr : t -> Csr.t
 (** Underlying flat adjacency of {!to_bigraph} (n = nl + nr, rights

@@ -98,8 +98,8 @@ let test_61_three_ways () =
   List.iter
     (fun g ->
       let a = Mn_chordality.is_61_chordal g in
-      let b = Mn_chordality.is_61_chordal_bisimplicial g in
-      let c = Mn_chordality.is_mn_chordal_brute g ~m:6 ~n:1 in
+      let b = Oracle.Mn_brute.is_61_chordal_bisimplicial g in
+      let c = Oracle.Mn_brute.is_mn_chordal_brute g ~m:6 ~n:1 in
       let d = Doubly_lex.is_61_chordal_doubly_lex g in
       check "beta = bisimplicial = brute = doubly-lex" true
         (a = b && b = c && c = d))
@@ -147,20 +147,20 @@ let qcheck_cases =
       ~name:"Theorem 1(i): (4,1)-brute = forest = Berge(H1)"
       small_bipartite_gen (fun g ->
         QCheck2.assume (no_isolated_right g);
-        let brute = Mn_chordality.is_mn_chordal_brute g ~m:4 ~n:1 in
+        let brute = Oracle.Mn_brute.is_mn_chordal_brute g ~m:4 ~n:1 in
         brute = Mn_chordality.is_41_chordal g
         && brute = Berge.acyclic (Correspond.h1_exn g));
     QCheck2.Test.make ~count:250
       ~name:"Theorem 1(ii): (6,2)-brute = gamma(H1)" small_bipartite_gen
       (fun g ->
         QCheck2.assume (no_isolated_right g);
-        Mn_chordality.is_mn_chordal_brute g ~m:6 ~n:2
+        Oracle.Mn_brute.is_mn_chordal_brute g ~m:6 ~n:2
         = Gamma.acyclic (Correspond.h1_exn g));
     QCheck2.Test.make ~count:250
       ~name:"Theorem 1(iii): (6,1)-brute = beta(H1)" small_bipartite_gen
       (fun g ->
         QCheck2.assume (no_isolated_right g);
-        Mn_chordality.is_mn_chordal_brute g ~m:6 ~n:1
+        Oracle.Mn_brute.is_mn_chordal_brute g ~m:6 ~n:1
         = Beta.acyclic (Correspond.h1_exn g));
     QCheck2.Test.make ~count:250
       ~name:"doubly lexical ordering converges and verifies"
@@ -173,12 +173,12 @@ let qcheck_cases =
       ~name:"(6,1) via doubly lexical / gamma-free matrix agrees"
       small_bipartite_gen (fun g ->
         Doubly_lex.is_61_chordal_doubly_lex g
-        = Mn_chordality.is_mn_chordal_brute g ~m:6 ~n:1);
+        = Oracle.Mn_brute.is_mn_chordal_brute g ~m:6 ~n:1);
     QCheck2.Test.make ~count:250
       ~name:"(6,1) via bisimplicial elimination agrees" small_bipartite_gen
       (fun g ->
-        Mn_chordality.is_61_chordal_bisimplicial g
-        = Mn_chordality.is_mn_chordal_brute g ~m:6 ~n:1);
+        Oracle.Mn_brute.is_61_chordal_bisimplicial g
+        = Oracle.Mn_brute.is_mn_chordal_brute g ~m:6 ~n:1);
     QCheck2.Test.make ~count:200
       ~name:"Definition 5 chordality brute = 2-section chordality"
       small_bipartite_gen (fun g ->
@@ -219,9 +219,9 @@ let qcheck_cases =
              (fun j -> not (Iset.is_empty (Bigraph.left_neighbors flipped j)))
              (List.init (Bigraph.nr flipped) (fun j -> j)));
         let h2 = Correspond.h2_exn g in
-        Beta.acyclic h2 = Mn_chordality.is_mn_chordal_brute flipped ~m:6 ~n:1
+        Beta.acyclic h2 = Oracle.Mn_brute.is_mn_chordal_brute flipped ~m:6 ~n:1
         && Gamma.acyclic h2
-           = Mn_chordality.is_mn_chordal_brute flipped ~m:6 ~n:2);
+           = Oracle.Mn_brute.is_mn_chordal_brute flipped ~m:6 ~n:2);
     QCheck2.Test.make ~count:200
       ~name:"H2 is the dual of H1 (Definition 3)" small_bipartite_gen
       (fun g ->
@@ -243,7 +243,7 @@ let qcheck_cases =
         && Side_properties.alpha_side g Bigraph.V2);
     QCheck2.Test.make ~count:150 ~name:"full profile is Theorem-1 consistent"
       small_bipartite_gen (fun g ->
-        Classify.theorem1_consistent (Classify_oracle.profile g));
+        Classify.theorem1_consistent (Oracle.Classify_oracle.profile g));
     QCheck2.Test.make ~count:150
       ~name:"generated (6,2) bipartite instances are (6,2)"
       QCheck2.Gen.(int_range 0 5000)
@@ -251,7 +251,7 @@ let qcheck_cases =
         let rng = Workloads.Rng.make ~seed in
         let g = Workloads.Gen_bipartite.chordal_62 rng ~n_right:5 ~max_size:3 in
         Mn_chordality.is_62_chordal g
-        && Mn_chordality.is_mn_chordal_brute g ~m:6 ~n:2);
+        && Oracle.Mn_brute.is_mn_chordal_brute g ~m:6 ~n:2);
   ]
 
 let () =

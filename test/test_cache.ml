@@ -230,8 +230,8 @@ let flip_byte s i =
   Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x40));
   Bytes.to_string b
 
-(* Re-wrap an arbitrary payload in a self-consistent envelope: length
-   and digest match the bytes, so only the innermost guard
+(* Re-wrap an arbitrary payload in a self-consistent envelope: magic,
+   length and digest match the bytes, so only the innermost guard
    ([Compiled.of_bytes]) can reject it. *)
 let reenvelope entry payload =
   let blob = read_file entry in
@@ -244,8 +244,8 @@ let reenvelope entry payload =
     Filename.chop_suffix (Filename.basename entry) ".plan"
   in
   Printf.sprintf
-    "minconn-plan/2\n%s\nschema %s\njournal -\nlength %d\ndigest %s\n%s"
-    commit_line schema (String.length payload)
+    "minconn-plan/%d\n%s\nschema %s\njournal -\nlength %d\ndigest %s\n%s"
+    PC.format_version commit_line schema (String.length payload)
     (Digest.to_hex (Digest.string payload))
     payload
 
@@ -277,6 +277,15 @@ let corruption_cases =
       fun entry blob ->
         let rest = String.sub blob 14 (String.length blob - 14) in
         write_file entry ("minconn-plan/9" ^ rest) );
+    ( "previous format version (/2)",
+      "version-mismatch",
+      fun entry blob ->
+        (* A /2 entry carries the same envelope and, by default, the
+           same commit line as this build, but its payload has the
+           older record layout: the version alone must turn it away. *)
+        let nl = String.index blob '\n' in
+        write_file entry
+          ("minconn-plan/2" ^ String.sub blob nl (String.length blob - nl)) );
     ( "foreign build commit",
       "commit-mismatch",
       fun entry blob ->

@@ -8,7 +8,7 @@
 
 open Bipartite
 
-let agrees g = Classify.profile g = Classify_oracle.profile g
+let agrees g = Classify.profile g = Oracle.Classify_oracle.profile g
 
 let agrees_both_ways g = agrees g && agrees (Bigraph.flip g)
 

@@ -396,11 +396,9 @@ let test_session_with_plan () =
     check "swapped session answers like a fresh one" true
       (result_equal (Session.query s' ~p) (Session.query fresh_sess ~p))
 
-(* Relation edits against an independent construction: the edited
-   edge list built from scratch. Appending a relation and removing the
-   last one share the untouched adjacency rows instead of rebuilding,
-   so the set view (rows and edge count) is compared, not just the
-   CSR. *)
+(* Edge and relation edits against an independent construction: the
+   edited edge list built from scratch. Both the CSR and its set-based
+   conversion (rows and edge count) are compared. *)
 let prop_relation_edits =
   QCheck2.Test.make ~count:300
     ~name:"Bigraph relation edits = of_edges on the edited edge list" seed_gen
@@ -422,10 +420,25 @@ let prop_relation_edits =
                Workloads.Rng.int rng nl))
       in
       let j = Workloads.Rng.int rng nr in
+      (* A random pair (present or not) to add, and a present edge when
+         there is one to remove. *)
+      let pair = (Workloads.Rng.int rng nl, Workloads.Rng.int rng nr) in
+      let present =
+        match edges with
+        | [] -> pair
+        | _ -> List.nth edges (Workloads.Rng.int rng (List.length edges))
+      in
       same
-        (Bigraph.add_relation g attrs)
-        ~nr:(nr + 1)
-        (edges @ List.map (fun i -> (i, nr)) (Iset.elements attrs))
+        (Bigraph.add_edge g (fst pair) (snd pair))
+        ~nr (edges @ [ pair ])
+      && same
+           (Bigraph.remove_edge g (fst present) (snd present))
+           ~nr
+           (List.filter (fun e -> e <> present) edges)
+      && same
+           (Bigraph.add_relation g attrs)
+           ~nr:(nr + 1)
+           (edges @ List.map (fun i -> (i, nr)) (Iset.elements attrs))
       && same
            (Bigraph.remove_relation g j)
            ~nr:(nr - 1)
@@ -437,6 +450,41 @@ let prop_relation_edits =
            (Bigraph.remove_relation g (nr - 1))
            ~nr:(nr - 1)
            (List.filter (fun (_, k) -> k <> nr - 1) edges))
+
+(* A delta never grows the plan it is applied to, and the evolved plan
+   is no larger than a fresh compile of the same schema: the graph is
+   one immutable CSR, so no edit leaves a derived view behind on either
+   plan. The four deltas cover every incremental path (split, merge,
+   append, last-relation removal) and restore the original schema. *)
+let test_delta_plan_size () =
+  let inst =
+    Workloads.Gen_scale.make Workloads.Gen_scale.Alpha ~target_n:10_000
+      ~seed:5
+  in
+  let g = Workloads.Gen_scale.to_bigraph inst in
+  let base = Compiled.compile g in
+  let words t = Obj.reachable_words (Obj.repr t) in
+  let before = words base in
+  let i, j = List.hd (Bigraph.edges g) in
+  let ops =
+    [
+      Minconn.Delta.Remove_edge (i, j);
+      Minconn.Delta.Add_edge (i, j);
+      Minconn.Delta.Add_relation
+        (Workloads.Gen_scale.block_terminals inst ~block:1 ~k:2);
+      Minconn.Delta.Remove_relation (Bigraph.nr g);
+    ]
+  in
+  match Compiled.apply_deltas base ops with
+  | Error msg -> Alcotest.fail msg
+  | Ok (evolved, _) ->
+    check_int "parent plan size unchanged by the deltas" before (words base);
+    let fresh = Compiled.compile (Compiled.graph evolved) in
+    check "evolved = fresh compile" true (plan_equal evolved fresh);
+    let ratio = float_of_int (words evolved) /. float_of_int (words fresh) in
+    check
+      (Printf.sprintf "evolved plan is %.2fx a fresh compile (<= 1.1)" ratio)
+      true (ratio <= 1.1)
 
 let qcheck_cases =
   [
@@ -463,5 +511,6 @@ let () =
           Alcotest.test_case "add relation" `Quick test_add_relation;
           Alcotest.test_case "invalid deltas" `Quick test_invalid_deltas;
           Alcotest.test_case "session plan swap" `Quick test_session_with_plan;
+          Alcotest.test_case "delta plan size" `Quick test_delta_plan_size;
         ] );
     ]

@@ -60,7 +60,7 @@ let test_fig3a () =
   check "forest" true (Mn_chordality.is_41_chordal g);
   check "H1 Berge-acyclic (Fig 4a)" true
     (degree_of g = Acyclicity.Berge_acyclic);
-  check "brute (4,1)" true (Mn_chordality.is_mn_chordal_brute g ~m:4 ~n:1)
+  check "brute (4,1)" true (Oracle.Mn_brute.is_mn_chordal_brute g ~m:4 ~n:1)
 
 let test_fig3b () =
   let g = Figures.fig3b.Figures.graph in
@@ -68,7 +68,7 @@ let test_fig3b () =
   check "(6,2)-chordal" true (Mn_chordality.is_62_chordal g);
   check "H1 gamma- but not Berge-acyclic (Fig 4b)" true
     (degree_of g = Acyclicity.Gamma_acyclic);
-  check "brute (6,2)" true (Mn_chordality.is_mn_chordal_brute g ~m:6 ~n:2)
+  check "brute (6,2)" true (Oracle.Mn_brute.is_mn_chordal_brute g ~m:6 ~n:2)
 
 let test_fig3c () =
   let g = Figures.fig3c.Figures.graph in
@@ -76,8 +76,9 @@ let test_fig3c () =
   check "not (6,2)-chordal" false (Mn_chordality.is_62_chordal g);
   check "H1 beta- but not gamma-acyclic (Fig 4c)" true
     (degree_of g = Acyclicity.Beta_acyclic);
-  check "brute (6,1)" true (Mn_chordality.is_mn_chordal_brute g ~m:6 ~n:1);
-  check "brute not (6,2)" false (Mn_chordality.is_mn_chordal_brute g ~m:6 ~n:2)
+  check "brute (6,1)" true (Oracle.Mn_brute.is_mn_chordal_brute g ~m:6 ~n:1);
+  check "brute not (6,2)" false
+    (Oracle.Mn_brute.is_mn_chordal_brute g ~m:6 ~n:2)
 
 (* Section 3's remark on Fig 3c: {A,B,C,E,1,3} is a minimum-V2 tree
    over {A,B,E} but not a Steiner tree. *)
@@ -109,7 +110,7 @@ let test_fig5 () =
   check "V1-conformal" true (Side_properties.conformal g Bigraph.V1);
   check "not (6,1)-chordal" false (Mn_chordality.is_61_chordal g);
   check "brute agrees: not (6,1)" false
-    (Mn_chordality.is_mn_chordal_brute g ~m:6 ~n:1)
+    (Oracle.Mn_brute.is_mn_chordal_brute g ~m:6 ~n:1)
 
 (* -------------------------------------------------------------- Fig 6 *)
 

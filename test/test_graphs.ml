@@ -16,6 +16,41 @@ let petersen =
 
 let path n = Ugraph.of_edges ~n (List.init (n - 1) (fun i -> (i, i + 1)))
 
+(* --------------------------------------------------------------- Csr *)
+
+(* Row replacement against a fresh build of the edited edge list, and
+   every malformed edit it must refuse. *)
+let test_csr_replace_rows () =
+  let p3 = Csr.of_edges ~n:3 [ (0, 1); (1, 2) ] in
+  let same name want got = check name true (Csr.equal want got) in
+  same "add an edge"
+    (Csr.of_edges ~n:3 [ (0, 1); (1, 2); (0, 2) ])
+    (Csr.replace_rows p3 ~n:3 [ (2, [| 0; 1 |]); (0, [| 1; 2 |]) ]);
+  same "grow by a node"
+    (Csr.of_edges ~n:4 [ (0, 1); (1, 2); (1, 3) ])
+    (Csr.replace_rows p3 ~n:4 [ (3, [| 1 |]); (1, [| 0; 2; 3 |]) ]);
+  same "drop the last node"
+    (Csr.of_edges ~n:2 [ (0, 1) ])
+    (Csr.replace_rows p3 ~n:2 [ (1, [| 0 |]) ]);
+  check_int "edge count follows the rows" 1
+    (Csr.m (Csr.replace_rows p3 ~n:3 [ (1, [| 0 |]); (2, [||]) ]));
+  List.iter
+    (fun (name, n, rows) ->
+      check name true
+        (try
+           ignore (Csr.replace_rows p3 ~n rows);
+           false
+         with Invalid_argument _ -> true))
+    [
+      ("one-sided insertion", 3, [ (0, [| 1; 2 |]) ]);
+      ("one-sided deletion", 3, [ (1, [| 0 |]) ]);
+      ("dropped node still listed", 2, []);
+      ("unsorted row", 3, [ (1, [| 2; 0 |]) ]);
+      ("self-loop", 3, [ (1, [| 0; 1; 2 |]) ]);
+      ("out of range", 3, [ (1, [| 0; 3 |]) ]);
+      ("duplicate row", 3, [ (1, [| 0; 2 |]); (1, [| 0; 2 |]) ]);
+    ]
+
 (* ------------------------------------------------------------ Ugraph *)
 
 let test_basics () =
@@ -366,5 +401,7 @@ let () =
           Alcotest.test_case "simple vertices" `Quick test_simple_vertices;
         ] );
       ("dot", [ Alcotest.test_case "export" `Quick test_dot ]);
+      ( "csr",
+        [ Alcotest.test_case "replace rows" `Quick test_csr_replace_rows ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_cases);
     ]

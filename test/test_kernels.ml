@@ -1,7 +1,8 @@
 (* Differential coverage for the flat CSR/bitset kernel layer: every
    port must agree exactly with the original set-based implementation
-   it replaced, on random workload instances. Bitset itself is tested
-   against Iset as the model. *)
+   it replaced (kept in the test oracle library as
+   [Oracle.Set_kernels]), on random workload instances. Bitset itself
+   is tested against Iset as the model. *)
 
 open Graphs
 open Steiner
@@ -142,7 +143,7 @@ let prop_lexbfs_equal =
       let g = graph_of_seed ~max_n:20 seed in
       let within, start = restriction_of_seed g seed in
       Lexbfs.lexbfs_order ?within ?start g
-      = Lexbfs.lexbfs_order_sets ?within ?start g)
+      = Oracle.Set_kernels.lexbfs_order_sets ?within ?start g)
 
 let prop_mcs_equal =
   QCheck2.Test.make ~count:500 ~name:"CSR MCS = set-based MCS" seed_gen
@@ -150,7 +151,7 @@ let prop_mcs_equal =
       let g = graph_of_seed ~max_n:20 seed in
       let within, start = restriction_of_seed g seed in
       Lexbfs.mcs_order ?within ?start g
-      = Lexbfs.mcs_order_sets ?within ?start g)
+      = Oracle.Set_kernels.mcs_order_sets ?within ?start g)
 
 (* --------------------------------------------------------- Chordality *)
 
@@ -160,7 +161,7 @@ let prop_chordal_equal =
     (fun seed ->
       let g = graph_of_seed ~max_n:10 seed in
       let kernel = Chordal.is_chordal g in
-      kernel = Chordal.is_chordal_sets g
+      kernel = Oracle.Set_kernels.is_chordal_sets g
       && kernel = Chordal.is_chordal_brute g)
 
 let prop_peo_check_equal =
@@ -175,7 +176,7 @@ let prop_peo_check_equal =
         Workloads.Rng.shuffle rng (Iset.elements (Ugraph.nodes g))
       in
       Chordal.is_perfect_elimination_order g order
-      = Chordal.is_perfect_elimination_order_sets g order)
+      = Oracle.Set_kernels.is_perfect_elimination_order_sets g order)
 
 (* ------------------------------------------------- Cycle/chord scan *)
 
@@ -188,7 +189,8 @@ let prop_chord_scan_equal =
       let min_len = 4 + (2 * Workloads.Rng.int rng 2) in
       let max_chords = Workloads.Rng.int rng 3 in
       Cycles.exists_cycle_with_few_chords g ~min_len ~max_chords
-      = Cycles.exists_cycle_with_few_chords_sets g ~min_len ~max_chords)
+      = Oracle.Set_kernels.exists_cycle_with_few_chords_sets g ~min_len
+          ~max_chords)
 
 (* --------------------------------------------------- Hyperedge MCS *)
 
@@ -209,7 +211,7 @@ let prop_edge_mcs_equal =
         else Some (Workloads.Rng.int rng (Hypergraphs.Hypergraph.n_edges h))
       in
       Hypergraphs.Mcs.edge_order ?start h
-      = Hypergraphs.Mcs.edge_order_sets ?start h)
+      = Oracle.Set_kernels.edge_order_sets ?start h)
 
 (* --------------------------------------------------------- Algorithm 1 *)
 
@@ -236,7 +238,7 @@ let prop_algorithm1_equal =
         Workloads.Gen_bipartite.random_terminals rng g
           ~k:(2 + Workloads.Rng.int rng 3)
       in
-      match (Algorithm1.solve g ~p, Algorithm1.solve_sets g ~p) with
+      match (Algorithm1.solve g ~p, Oracle.Set_kernels.solve_sets g ~p) with
       | Error e, Error e' -> e = e'
       | Ok r, Ok r' ->
         Iset.equal r.Algorithm1.tree.Tree.nodes r'.Algorithm1.tree.Tree.nodes

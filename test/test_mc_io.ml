@@ -73,6 +73,33 @@ let test_large_round_trip () =
       && nb.Mc_io.Parse.right_names = nb2.Mc_io.Parse.right_names)
   | Error e -> Alcotest.failf "reparse error: %a" Mc_io.Parse.pp_error e
 
+(* Regression: [hypergraph_to_string] used to write every node on one
+   [nodes] line, so a hypergraph past ~10k nodes printed a file its own
+   parser rejected. A 20k-node path, one 2-edge per consecutive pair. *)
+let test_large_hypergraph_round_trip () =
+  let n = 20_000 in
+  let h =
+    Hypergraphs.Hypergraph.create ~n_nodes:n
+      (List.init (n - 1) (fun i -> Iset.of_list [ i; i + 1 ]))
+  in
+  let node_names = Array.init n (Printf.sprintf "v%d") in
+  let edge_names = Array.init (n - 1) (Printf.sprintf "e%d") in
+  let printed = Mc_io.Parse.hypergraph_to_string h ~node_names ~edge_names in
+  check "every printed line fits the parser's cap" true
+    (List.for_all
+       (fun l -> String.length l <= Mc_io.Parse.max_line_bytes)
+       (String.split_on_char '\n' printed));
+  match Mc_io.Parse.hypergraph_of_string printed with
+  | Ok (h2, node_names2, edge_names2) ->
+    check "large hypergraph round trip preserves the edges" true
+      (Hypergraphs.Hypergraph.n_nodes h2 = n
+      && Hypergraphs.Hypergraph.n_edges h2 = n - 1
+      && Array.for_all2 Iset.equal (Hypergraphs.Hypergraph.edges h)
+           (Hypergraphs.Hypergraph.edges h2));
+    check "large hypergraph round trip preserves the names" true
+      (node_names = node_names2 && edge_names = edge_names2)
+  | Error e -> Alcotest.failf "reparse error: %a" Mc_io.Parse.pp_error e
+
 let expect_error text expected_substring =
   match Mc_io.Parse.bigraph_of_string text with
   | Ok _ -> Alcotest.failf "expected a parse error (%s)" expected_substring
@@ -221,6 +248,8 @@ let () =
           Alcotest.test_case "bigraph" `Quick test_parse_bigraph;
           Alcotest.test_case "round trip" `Quick test_round_trip;
           Alcotest.test_case "large round trip" `Quick test_large_round_trip;
+          Alcotest.test_case "large hypergraph round trip" `Quick
+            test_large_hypergraph_round_trip;
           Alcotest.test_case "errors" `Quick test_parse_errors;
           Alcotest.test_case "name set" `Quick test_name_set;
           Alcotest.test_case "schema" `Quick test_parse_schema;
