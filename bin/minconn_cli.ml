@@ -200,8 +200,11 @@ let run_batch ?compiled nb ~queries ~cache ~jobs ~timeout_ms ~fuel ~no_degrade
     let session =
       Minconn.Session.create ~degrade:(not no_degrade) ~trace ~metrics compiled
     in
+    let index = Mc_io.Parse.Names.build nb in
     let resolved =
-      List.map (fun names -> (names, Mc_io.Parse.name_set nb names)) queries
+      List.map
+        (fun names -> (names, Mc_io.Parse.Names.resolve index nb names))
+        queries
     in
     let ps = List.filter_map (fun (_, r) -> Result.to_option r) resolved in
     (* A fresh budget per query: one slow query degrades itself, not
@@ -434,9 +437,13 @@ let solve_cmd =
 
 (* -------------------------------------------------------------- evolve *)
 
+(* The ops and the evolved relation names; the caller's plan carries
+   the evolved graph, so the ops are applied once, by the engine. *)
 let load_deltas nb path =
-  match Mc_io.Parse.deltas_of_string nb (read_file path) with
-  | Ok v -> v
+  match
+    Mc_io.Parse.resolve_deltas (Mc_io.Parse.Names.build nb) nb (read_file path)
+  with
+  | Ok (ops, right_names, _) -> (ops, right_names)
   | Error e ->
     prerr_endline (Format.asprintf "%s: %a" path Mc_io.Parse.pp_error e);
     exit exit_input_error
@@ -453,7 +460,7 @@ let evolve_cmd =
       exit exit_input_error
     end;
     let nb = or_die (load_bigraph path) in
-    let ops, evolved = load_deltas nb dfile in
+    let ops, right_names = load_deltas nb dfile in
     let cache = open_plan_cache_opt cache_dir in
     let with_jobs f =
       if jobs > 1 then
@@ -481,7 +488,8 @@ let evolve_cmd =
             let base = Minconn.Compiled.compile ?pool nb.Mc_io.Parse.graph in
             match Minconn.Compiled.apply_deltas ?pool base ops with
             | Error msg ->
-              (* Unreachable: the parser already applied every op. *)
+              (* Unreachable: every op's indices were resolved from
+                 the evolved schema's names. *)
               Printf.eprintf "minconn: error=bad-delta msg=%s\n" msg;
               exit exit_input_error
             | Ok (compiled, stats) ->
@@ -501,6 +509,13 @@ let evolve_cmd =
       (List.length ops)
       (Minconn.Compiled.n_components compiled)
       status;
+    let evolved =
+      {
+        nb with
+        Mc_io.Parse.graph = Minconn.Compiled.graph compiled;
+        right_names;
+      }
+    in
     match queries_file with
     | Some qpath ->
       run_batch ~compiled evolved
@@ -1001,12 +1016,17 @@ let serve_cmd =
       match deltas_file with
       | None -> (nb, None)
       | Some dfile ->
-        let ops, evolved = load_deltas nb dfile in
+        let ops, right_names = load_deltas nb dfile in
         let compiled, _ =
           Minconn.Plan_cache.find_or_compile ?cache ~deltas:ops
             nb.Mc_io.Parse.graph
         in
-        (evolved, Some compiled)
+        ( {
+            nb with
+            Mc_io.Parse.graph = Minconn.Compiled.graph compiled;
+            right_names;
+          },
+          Some compiled )
     in
     let metrics = Observe.Metrics.make () in
     let trace =

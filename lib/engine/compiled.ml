@@ -29,31 +29,22 @@ let csr t = Bigraph.csr t.graph
 let profile t = t.profile
 let n_components t = Array.length t.components
 
-(* Index of [v] in the ascending array [ids]. *)
 let local_id ids v =
-  let rec go lo hi =
-    if lo > hi then raise Not_found
-    else
-      let mid = (lo + hi) / 2 in
-      if ids.(mid) = v then mid
-      else if ids.(mid) < v then go (mid + 1) hi
-      else go lo (mid - 1)
-  in
-  go 0 (Array.length ids - 1)
+  let i = Csr.local_index ids v in
+  if i < 0 then raise Not_found else i
 
 (* Components are closed under adjacency, so every neighbor read off
    the CSR row of a member is a member too: the induced graph costs
-   O(|component|) and never touches the set view. *)
+   O(|component| log |component|) and touches no other row. *)
 let local t comp =
-  let c = csr t in
-  let ids = Array.of_list (Iset.elements comp.nodes) in
-  let b = Ugraph.Builder.create (Array.length ids) in
-  Array.iteri
-    (fun i v ->
-      Csr.iter_neighbors c v (fun w ->
-          if w > v then Ugraph.Builder.add_edge b i (local_id ids w)))
-    ids;
-  (Ugraph.Builder.build b, ids)
+  let ids = Array.make (Iset.cardinal comp.nodes) 0 in
+  let i = ref 0 in
+  Iset.iter
+    (fun v ->
+      ids.(!i) <- v;
+      incr i)
+    comp.nodes;
+  (Csr.induced (csr t) ids, ids)
 
 (* ------------------------------------------------- serialization *)
 

@@ -63,13 +63,14 @@ val csr : t -> Csr.t
 val profile : t -> Classify.profile
 val n_components : t -> int
 
-val local : t -> component -> Ugraph.t * int array
-(** [local t comp] is the subgraph induced by [comp.nodes] as a graph
-    of its own, built from the CSR rows in O(|component|), with
-    [ids.(i)] the plan node of local node [i]. The renumbering is
+val local : t -> component -> Csr.t * int array
+(** [local t comp] is the subgraph induced by [comp.nodes] as a flat
+    adjacency of its own ({!Graphs.Csr.induced} of the plan's CSR),
+    with [ids.(i)] the plan node of local node [i]. The renumbering is
     ascending — monotone — so a solver run on the local graph takes
     the decisions it would take on the whole graph, and mapping its
-    tree through [ids] gives the whole-graph tree node for node. *)
+    tree through [ids] ({!Steiner.Tree.lift}) gives the whole-graph
+    tree node for node. *)
 
 val local_id : int array -> int -> int
 (** [local_id ids v] is the local node of plan node [v] for the [ids]

@@ -94,19 +94,13 @@ type rung_spec = {
   run : unit -> Tree.t option;
 }
 
-(* A tree over the local graph of [Compiled.local], in plan node ids. *)
-let lift ids (tree : Tree.t) =
-  {
-    Tree.nodes = Iset.map (fun v -> ids.(v)) tree.Tree.nodes;
-    edges = List.map (fun (a, b) -> (ids.(a), ids.(b))) tree.Tree.edges;
-  }
-
 (* The per-query ladder, parameterized over the trace sink so a
    parallel batch can hand each task its own fork; [query] passes the
    session's own. Every rung runs on the terminals' component
-   materialised as a local graph ([Compiled.local]), so a query costs
-   O(|component|) whatever the size of the schema, and the ladder is
-   chosen by that component's own class. *)
+   materialised as a flat local graph ([Compiled.local]) with
+   array-based kernels, so a query costs O(|component|) whatever the
+   size of the schema, allocates little beyond the local graph and the
+   answer, and the ladder is chosen by that component's own class. *)
 let query_in ?budget ?degrade ~trace t ~p =
   let budget = match budget with Some b -> b | None -> t.budget in
   let degrade = match degrade with Some d -> d | None -> t.degrade in
@@ -123,19 +117,35 @@ let query_in ?budget ?degrade ~trace t ~p =
     @@ fun () ->
     Observe.Metrics.incr (Observe.Metrics.counter metrics "engine.queries");
     let profile = comp.Compiled.cprofile in
-    let u, ids = Compiled.local t.compiled comp in
-    let lp = Iset.map (Compiled.local_id ids) p in
+    let c, ids = Compiled.local t.compiled comp in
+    (* [p] ascending maps to ascending local ids: the renumbering is
+       monotone. *)
+    let terminals = Array.make (Iset.cardinal p) 0 in
+    let i = ref 0 in
+    Iset.iter
+      (fun v ->
+        terminals.(!i) <- Compiled.local_id ids v;
+        incr i)
+      p;
+    (* The set-based view of the local graph, for the two consumers
+       that still take one: the MST rung and the traced verification. *)
+    let sets = lazy (Csr.to_ugraph c, Iset.of_array terminals) in
     let algorithm2 () =
-      Algorithm2.solve_in ~budget ~trace ~metrics u ~comp:(Ugraph.nodes u)
-        ~order:(List.map (Compiled.local_id ids) comp.Compiled.order)
-        ~p:lp
+      let order = Array.make (Csr.n c) 0 in
+      List.iteri
+        (fun i v -> order.(i) <- Compiled.local_id ids v)
+        comp.Compiled.order;
+      Algorithm2.solve_local ~budget ~trace ~metrics c ~order ~terminals
     in
     let mst_rung =
       {
         rung = Errors.Mst;
         meth = Used_mst_approx;
         guarantee = Degrade.Ratio 2.0;
-        run = (fun () -> Mst_approx.solve_connected ~trace u ~terminals:lp);
+        run =
+          (fun () ->
+            let u, lp = Lazy.force sets in
+            Mst_approx.solve_connected ~trace u ~terminals:lp);
       }
     in
     let fixpoint_rung =
@@ -154,7 +164,8 @@ let query_in ?budget ?degrade ~trace t ~p =
               rung = Errors.Exact_structured;
               meth = Used_forest;
               guarantee = Degrade.Exact;
-              run = (fun () -> Steiner.Forest_steiner.solve u ~terminals:lp);
+              run =
+                (fun () -> Steiner.Forest_steiner.solve_local c ~terminals);
             };
             mst_rung;
           ] )
@@ -172,7 +183,7 @@ let query_in ?budget ?degrade ~trace t ~p =
             };
             mst_rung;
           ] )
-      else if Iset.cardinal p <= Dreyfus_wagner.max_terminals then
+      else if Array.length terminals <= Dreyfus_wagner.max_terminals then
         ( [],
           [
             {
@@ -181,7 +192,8 @@ let query_in ?budget ?degrade ~trace t ~p =
               guarantee = Degrade.Exact;
               run =
                 (fun () ->
-                  Dreyfus_wagner.solve ~budget ~trace ~metrics u ~terminals:lp);
+                  Dreyfus_wagner.solve_local ~budget ~trace ~metrics c
+                    ~terminals);
             };
             fixpoint_rung;
             mst_rung;
@@ -251,10 +263,11 @@ let query_in ?budget ?degrade ~trace t ~p =
           if Observe.Trace.active trace then
             Observe.Trace.span trace "verify" (fun () ->
                 Observe.Trace.add_attr trace "covers_terminals"
-                  (Observe.Trace.Bool (Tree.verify u ~terminals:lp tree)));
+                  (let u, lp = Lazy.force sets in
+                   Observe.Trace.Bool (Tree.verify u ~terminals:lp tree)));
           Ok
             {
-              tree = lift ids tree;
+              tree = Tree.lift ids tree;
               method_used = spec.meth;
               optimal = spec.guarantee = Degrade.Exact;
               profile;

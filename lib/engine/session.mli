@@ -7,9 +7,11 @@
     elimination orderings are read from the compiled plan; a query
     performs only terminal location, the degradation ladder, and the
     chosen solver. Every rung runs on the terminals'
-    component alone ({!Compiled.local}), so a query costs
-    O(|component|) however large the schema, and the ladder is chosen
-    by that component's class. Sessions are not safe for concurrent
+    component alone ({!Compiled.local}), the forest, Algorithm 2 and
+    Dreyfus–Wagner rungs as flat-array kernels, so a query costs
+    O(|component|) however large the schema and allocates about the
+    local graph and the answer, and the ladder is chosen by that
+    component's class. Sessions are not safe for concurrent
     use ({!query_relations} shares its scratch across queries). *)
 
 open Graphs

@@ -146,6 +146,70 @@ let of_ugraph g =
 
 let n t = t.n
 let m t = t.m
+let rows t = t.row
+let cols t = t.col
+
+(* Index of [v] in the ascending array [ids], or -1. *)
+let local_index ids v =
+  let lo = ref 0 and hi = ref (Array.length ids - 1) and found = ref (-1) in
+  while !found < 0 && !lo <= !hi do
+    let mid = (!lo + !hi) / 2 in
+    let w = ids.(mid) in
+    if w = v then found := mid
+    else if w < v then lo := mid + 1
+    else hi := mid - 1
+  done;
+  !found
+
+(* Two passes over the member rows — count, then fill — with every
+   neighbor renumbered by binary search in [ids]. The renumbering is
+   monotone, so each row comes out ascending without a sort. *)
+let induced t ids =
+  let k = Array.length ids in
+  let row = Array.make (k + 1) 0 in
+  for i = 0 to k - 1 do
+    let u = ids.(i) in
+    if u < 0 || u >= t.n || (i > 0 && ids.(i - 1) >= u) then
+      invalid_arg "Csr.induced: ids must be ascending and in range";
+    let d = ref 0 in
+    for p = t.row.(u) to t.row.(u + 1) - 1 do
+      if local_index ids t.col.(p) >= 0 then incr d
+    done;
+    row.(i + 1) <- row.(i) + !d
+  done;
+  let col = Array.make row.(k) 0 in
+  let w = ref 0 in
+  for i = 0 to k - 1 do
+    let u = ids.(i) in
+    for p = t.row.(u) to t.row.(u + 1) - 1 do
+      let j = local_index ids t.col.(p) in
+      if j >= 0 then begin
+        col.(!w) <- j;
+        incr w
+      end
+    done
+  done;
+  { n = k; m = row.(k) / 2; row; col }
+
+let of_ugraph_within g within =
+  let ids = Array.of_list (Iset.elements within) in
+  let k = Array.length ids in
+  let row = Array.make (k + 1) 0 in
+  let local =
+    Array.map (fun u -> Iset.inter (Ugraph.neighbors g u) within) ids
+  in
+  Array.iteri (fun i s -> row.(i + 1) <- row.(i) + Iset.cardinal s) local;
+  let col = Array.make row.(k) 0 in
+  Array.iteri
+    (fun i s ->
+      let w = ref row.(i) in
+      Iset.iter
+        (fun v ->
+          col.(!w) <- local_index ids v;
+          incr w)
+        s)
+    local;
+  ({ n = k; m = row.(k) / 2; row; col }, ids)
 
 let row_valid n u r =
   let ok = ref true in

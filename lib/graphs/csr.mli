@@ -52,6 +52,33 @@ val component_ids : t -> int array * Iset.t list
 val n : t -> int
 val m : t -> int
 
+val rows : t -> int array
+(** The offsets array itself (length [n t + 1]): node [u]'s neighbors
+    are [cols t] at positions [rows.(u)] to [rows.(u + 1) - 1],
+    ascending. Not a copy — read it, never write it. The allocation-free
+    query kernels in [lib/steiner] index these arrays directly. *)
+
+val cols : t -> int array
+(** The neighbor array itself (length [2 * m t]); see {!rows}. *)
+
+val local_index : int array -> int -> int
+(** [local_index ids v] is the position of [v] in the ascending array
+    [ids] (binary search), or [-1] when absent. *)
+
+val induced : t -> int array -> t
+(** [induced t ids] is the subgraph induced by the ascending node
+    array [ids], with local node [i] standing for [ids.(i)]. The
+    renumbering is monotone, so a solver run on the result takes the
+    decisions it would take on [t] restricted to [ids]. O(Σ degree ×
+    log |ids|), no sort. Raises [Invalid_argument] unless [ids] is
+    strictly ascending and in range. *)
+
+val of_ugraph_within : Ugraph.t -> Iset.t -> t * int array
+(** The subgraph of a set-based graph induced by [within], as a flat
+    adjacency over local nodes [0 .. card within - 1] plus the
+    ascending id array mapping them back — the entry the set-based
+    Steiner front doors use to reach the flat kernels. *)
+
 val degree : t -> int -> int
 
 val sorted_neighbors : t -> int -> int array

@@ -105,13 +105,95 @@ let expect_header want = function
     err i (col_at cs 0) "expected a single '%s' header line" want
   | [] -> err 0 0 "empty input (expected '%s' header)" want
 
-let index_of arr name =
-  let rec go i =
-    if i >= Array.length arr then None
-    else if arr.(i) = name then Some i
-    else go (i + 1)
-  in
-  go 0
+(* ------------------------------------------------------- name index *)
+
+module Names = struct
+  (* Open addressing with linear probing over node ids: a slot holds
+     the underlying index of a name ([i] for left node [i], [nl + j] for
+     relation [j]) or -1. The strings stay in the schema's own name
+     arrays, so the table is one int array of about two words per name,
+     never written after [build]. Ids go in ascending, so a repeated
+     name sits further along its probe run than its first occurrence
+     and a lookup, taking the first match on its side, gives the answer
+     the linear scan gives; building compares no strings.
+
+     Relations appended after the build sit at [valid_nr] and above and
+     are found by a scan of those few names; dropping the last relation
+     lowers [valid_nr], which turns the table's entry for it stale
+     (skipped). Neither edit touches the table. *)
+  type t = { slots : int array; nl : int; valid_nr : int }
+
+  (* Past this many appended relations, the next delta file rebuilds
+     the table instead of growing the scan. *)
+  let max_tail = 64
+
+  let start slots name = Hashtbl.hash name mod Array.length slots
+  let next slots s = if s + 1 = Array.length slots then 0 else s + 1
+
+  let build_over left right nr =
+    let nl = Array.length left in
+    let slots = Array.make ((2 * (nl + nr)) + 1) (-1) in
+    for id = 0 to nl + nr - 1 do
+      let name = if id < nl then left.(id) else right.(id - nl) in
+      let s = ref (start slots name) in
+      while slots.(!s) >= 0 do
+        s := next slots !s
+      done;
+      slots.(!s) <- id
+    done;
+    { slots; nl; valid_nr = nr }
+
+  let build nb =
+    build_over nb.left_names nb.right_names (Array.length nb.right_names)
+
+  (* Left node index of [name], or -1. *)
+  let find_left t left name =
+    let rec go s =
+      let id = t.slots.(s) in
+      if id < 0 then -1
+      else if id < t.nl && String.equal left.(id) name then id
+      else go (next t.slots s)
+    in
+    go (start t.slots name)
+
+  (* Relation index of [name] among [right.(0 .. nr - 1)], or -1. *)
+  let find_right t right ~nr name =
+    let rec scan j =
+      if j >= nr then -1
+      else if String.equal right.(j) name then j
+      else scan (j + 1)
+    in
+    let rec go s =
+      let id = t.slots.(s) in
+      if id < 0 then scan t.valid_nr
+      else
+        let j = id - t.nl in
+        if j >= 0 && j < t.valid_nr && j < nr && String.equal right.(j) name
+        then j
+        else go (next t.slots s)
+    in
+    go (start t.slots name)
+
+  let check t nb =
+    if Array.length nb.left_names <> t.nl then
+      invalid_arg "Parse.Names: index of another schema"
+
+  let resolve t nb names =
+    check t nb;
+    let module B = Bipartite.Bigraph in
+    let nr = Array.length nb.right_names in
+    let rec go acc = function
+      | [] -> Ok acc
+      | n :: rest ->
+        let i = find_left t nb.left_names n in
+        if i >= 0 then go (Iset.add (B.index nb.graph (B.L i)) acc) rest
+        else
+          let j = find_right t nb.right_names ~nr n in
+          if j >= 0 then go (Iset.add (B.index nb.graph (B.R j)) acc) rest
+          else Error n
+    in
+    go Iset.empty names
+end
 
 let bigraph_of_string_unguarded text =
   match expect_header "bipartite" (tokenize text) with
@@ -145,30 +227,26 @@ let bigraph_of_string_unguarded text =
       else begin
         let left_names = Array.of_list left in
         let right_names = Array.of_list right in
+        let nr = Array.length right_names in
         (* Hashed name lookup: a linear scan per edge endpoint is
            quadratic on large schemas. *)
-        let index names =
-          let tbl = Hashtbl.create (Array.length names) in
-          Array.iteri (fun i name -> Hashtbl.replace tbl name i) names;
-          Hashtbl.find_opt tbl
-        in
-        let left_index = index left_names and right_index = index right_names in
+        let names = Names.build_over left_names right_names nr in
         let rec resolve acc = function
           | [] -> Ok (List.rev acc)
           | (i, cs, a, b) :: rest -> (
-            match (left_index a, right_index b) with
-            | Some la, Some rb -> resolve ((la, rb) :: acc) rest
-            | None, _ -> err i (col_at cs 1) "unknown left node '%s'" a
-            | _, None -> err i (col_at cs 2) "unknown right node '%s'" b)
+            match
+              ( Names.find_left names left_names a,
+                Names.find_right names right_names ~nr b )
+            with
+            | la, rb when la >= 0 && rb >= 0 -> resolve ((la, rb) :: acc) rest
+            | -1, _ -> err i (col_at cs 1) "unknown left node '%s'" a
+            | _ -> err i (col_at cs 2) "unknown right node '%s'" b)
         in
         match resolve [] (List.rev !edges) with
         | Error e -> Error e
         | Ok pairs ->
           let graph =
-            Bipartite.Bigraph.of_edges
-              ~nl:(Array.length left_names)
-              ~nr:(Array.length right_names)
-              pairs
+            Bipartite.Bigraph.of_edges ~nl:(Array.length left_names) ~nr pairs
           in
           Ok { graph; left_names; right_names }
       end)
@@ -311,50 +389,60 @@ let database_of_string_unguarded ?semantics text =
    resolved against the schema *as evolved so far*, so a relation
    added three lines up is a legal edge endpoint here and the
    recorded index ops line up exactly with [Delta.apply_all]'s
-   sequential semantics. *)
-let deltas_of_string_unguarded nb text =
+   sequential semantics. Only the names evolve here — left names never
+   change, relation names sit in a buffer copied on the first write —
+   and no graph is edited: every index an op carries comes from a name
+   of the evolved schema, so it is in range by construction. *)
+let resolve_deltas_unguarded names nb text =
   let module D = Bipartite.Delta in
   match expect_header "deltas" (tokenize text) with
   | Error e -> Error e
   | Ok lines ->
-    let remove_at j arr =
-      Array.of_list (List.filteri (fun k _ -> k <> j) (Array.to_list arr))
+    Names.check names nb;
+    let left_names = nb.left_names in
+    let rnames = ref nb.right_names in
+    let nr = ref (Array.length nb.right_names) in
+    let owned = ref false and names = ref names in
+    (* Appends go to a private copy that grows by doubling: the
+       published array is never written. *)
+    let push name =
+      if (not !owned) || !nr = Array.length !rnames then begin
+        let a = Array.make (max 8 (2 * !nr)) "" in
+        Array.blit !rnames 0 a 0 !nr;
+        rnames := a;
+        owned := true
+      end;
+      !rnames.(!nr) <- name;
+      incr nr
     in
-    let rec consume nb ops = function
-      | [] -> Ok (List.rev ops, nb)
+    let find_left a = Names.find_left !names left_names a in
+    let find_right r = Names.find_right !names !rnames ~nr:!nr r in
+    let rec consume ops = function
+      | [] -> Ok ops
       | (i, cs, toks) :: rest ->
         let left c a =
-          match index_of nb.left_names a with
-          | Some la -> Ok la
-          | None -> err i c "unknown left node '%s'" a
+          match find_left a with
+          | -1 -> err i c "unknown left node '%s'" a
+          | la -> Ok la
         in
         let right c r =
-          match index_of nb.right_names r with
-          | Some j -> Ok j
-          | None -> err i c "unknown relation '%s'" r
+          match find_right r with
+          | -1 -> err i c "unknown relation '%s'" r
+          | j -> Ok j
         in
-        (* Apply as we go: later lines must validate against the
-           evolved schema, and an op the engine would reject must die
-           here with a line number, not downstream without one. *)
-        let step op rename =
-          match D.apply nb.graph op with
-          | Error msg -> err i (col_at cs 0) "%s" msg
-          | Ok graph -> consume (rename { nb with graph }) (op :: ops) rest
-        in
+        let step op = consume (op :: ops) rest in
         (match toks with
         | [ "+edge"; a; b ] -> (
           match (left (col_at cs 1) a, right (col_at cs 2) b) with
-          | Ok la, Ok rb -> step (D.Add_edge (la, rb)) Fun.id
+          | Ok la, Ok rb -> step (D.Add_edge (la, rb))
           | (Error _ as e), _ | _, (Error _ as e) -> e)
         | [ "-edge"; a; b ] -> (
           match (left (col_at cs 1) a, right (col_at cs 2) b) with
-          | Ok la, Ok rb -> step (D.Remove_edge (la, rb)) Fun.id
+          | Ok la, Ok rb -> step (D.Remove_edge (la, rb))
           | (Error _ as e), _ | _, (Error _ as e) -> e)
         | "+relation" :: name :: attrs ->
-          if
-            index_of nb.left_names name <> None
-            || index_of nb.right_names name <> None
-          then err i (col_at cs 1) "duplicate node name '%s'" name
+          if find_left name >= 0 || find_right name >= 0 then
+            err i (col_at cs 1) "duplicate node name '%s'" name
           else
             let rec resolve set k = function
               | [] -> Ok set
@@ -366,21 +454,46 @@ let deltas_of_string_unguarded nb text =
             (match resolve Iset.empty 2 attrs with
             | Error e -> Error e
             | Ok set ->
-              step (D.Add_relation set) (fun nb ->
-                  {
-                    nb with
-                    right_names = Array.append nb.right_names [| name |];
-                  }))
+              push name;
+              step (D.Add_relation set))
         | [ "-relation"; name ] -> (
           match right (col_at cs 1) name with
           | Error e -> Error e
           | Ok j ->
-            step (D.Remove_relation j) (fun nb ->
-                { nb with right_names = remove_at j nb.right_names }))
+            if j = !nr - 1 then begin
+              (* The last relation: the table's entry for it turns
+                 stale, nothing is rebuilt. *)
+              decr nr;
+              if !owned then !rnames.(!nr) <- "";
+              names := { !names with Names.valid_nr = min !names.valid_nr j }
+            end
+            else begin
+              (* An interior relation renumbers every later one: the
+                 table is rebuilt, as the plan is. *)
+              let a = !rnames in
+              decr nr;
+              rnames :=
+                Array.init !nr (fun k -> if k < j then a.(k) else a.(k + 1));
+              owned := true;
+              names := Names.build_over left_names !rnames !nr
+            end;
+            step (D.Remove_relation j))
         | t :: _ -> err i (col_at cs 0) "unknown delta directive '%s'" t
         | [] -> err i 0 "empty line slipped through")
     in
-    consume nb [] lines
+    (match consume [] lines with
+    | Error e -> Error e
+    | Ok ops ->
+      let right_names =
+        if (not !owned) && !nr = Array.length !rnames then !rnames
+        else Array.sub !rnames 0 !nr
+      in
+      let names =
+        if !nr - !names.Names.valid_nr > Names.max_tail then
+          Names.build_over left_names right_names !nr
+        else !names
+      in
+      Ok (List.rev ops, right_names, names))
 
 let query_of_string_unguarded text =
   let words =
@@ -419,21 +532,24 @@ let hypergraph_of_string = guarded hypergraph_of_string_unguarded
 let database_of_string ?semantics text =
   guarded (database_of_string_unguarded ?semantics) text
 let query_of_string = guarded query_of_string_unguarded
-let deltas_of_string nb text = guarded (deltas_of_string_unguarded nb) text
+let resolve_deltas names nb text =
+  guarded (resolve_deltas_unguarded names nb) text
 
-let name_set nb names =
-  let module B = Bipartite.Bigraph in
-  let rec go acc = function
-    | [] -> Ok acc
-    | n :: rest -> (
-      match index_of nb.left_names n with
-      | Some i -> go (Iset.add (B.index nb.graph (B.L i)) acc) rest
-      | None -> (
-        match index_of nb.right_names n with
-        | Some j -> go (Iset.add (B.index nb.graph (B.R j)) acc) rest
-        | None -> Error n))
-  in
-  go Iset.empty names
+(* The one-shot helpers build an index per call and go through the
+   same resolution as the server, then apply the ops to the graph once
+   at the end. *)
+let deltas_of_string nb text =
+  guarded
+    (fun text ->
+      match resolve_deltas_unguarded (Names.build nb) nb text with
+      | Error e -> Error e
+      | Ok (ops, right_names, _) -> (
+        match Bipartite.Delta.apply_all nb.graph ops with
+        | Error msg -> err 0 0 "%s" msg
+        | Ok graph -> Ok (ops, { nb with graph; right_names })))
+    text
+
+let name_set nb names = Names.resolve (Names.build nb) nb names
 
 (* Names go on repeated [left]/[right] lines of at most
    [names_line_bytes] (a longer single name gets a line of its own), so

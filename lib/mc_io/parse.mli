@@ -86,30 +86,69 @@ val database_of_string :
     Under the default [Set] semantics duplicate [row] lines collapse;
     pass [~semantics:Bag] to preserve multiplicities. *)
 
+(** {2 Name resolution}
+
+    Terminal lists and delta files name nodes; the engine speaks
+    underlying indices. Every resolution goes through one {!Names}
+    index: left names are searched before relation names, and on each
+    side the first occurrence of a name wins. *)
+
+module Names : sig
+  type t
+  (** A hashed index over a schema's names: one flat int table of about
+      two words per name holding node ids, never written after it is
+      built, so lock-free readers may share it. The strings stay in the
+      schema's own name arrays, which every lookup reads. *)
+
+  val build : named_bigraph -> t
+  (** O(n) expected. *)
+
+  val resolve : t -> named_bigraph -> string list -> (Iset.t, string) result
+  (** [resolve t nb names] is {!name_set}[ nb names] in O(Σ |name|)
+      expected, for [t] built from [nb] or carried along [nb]'s
+      evolution by {!resolve_deltas}. Raises [Invalid_argument] when [t]
+      indexes a schema with another number of left names. *)
+end
+
+val name_set : named_bigraph -> string list -> (Iset.t, string) result
+(** Resolve a list of names to underlying indices; [Error name] on the
+    first unknown one. One-shot: builds a {!Names} index per call, so
+    resolve many lists through one [Names.resolve] instead. *)
+
+val resolve_deltas :
+  Names.t ->
+  named_bigraph ->
+  string ->
+  (Bipartite.Delta.op list * string array * Names.t, error) result
+(** [resolve_deltas names nb text] parses a delta file against [nb]
+    (indexed by [names]), resolving each line's names in the schema
+    {e as evolved by the preceding lines} — a [+relation] three lines
+    up is a legal [+edge] endpoint here. Returns the index ops exactly
+    as [Delta.apply_all] (and the engine's [Compiled.apply_deltas])
+    expect them, the evolved relation names (left names never change;
+    [+relation] appends one, [-relation] removes one) and the index
+    over the evolved names. No graph is edited: the caller applies the
+    ops once. Every op's indices come from names of the evolved schema,
+    so they are in range. The index costs nothing extra for [±edge],
+    O(1) for [+relation] and for removing the last relation (appended
+    relations are scanned until more than a few dozen accumulate, then
+    the index is rebuilt), and one O(n) rebuild for an interior
+    [-relation]. Typed [Parse_error] with line/col on unknown
+    directives, unknown names or a duplicate [+relation] name. *)
+
 val deltas_of_string :
   named_bigraph ->
   string ->
   (Bipartite.Delta.op list * named_bigraph, error) result
-(** Parse a delta file against the given schema, resolving each line's
-    names in the schema {e as evolved by the preceding lines} — a
-    [+relation] three lines up is a legal [+edge] endpoint here. The
-    returned index ops are exactly what [Delta.apply_all] (and the
-    engine's [Compiled.apply_deltas]) expect, and the returned
-    [named_bigraph] is the fully evolved schema with its name tables
-    ([+relation] appends a right name, [-relation] removes one;
-    duplicate names are rejected). Typed [Parse_error] with line/col
-    on unknown directives, unknown names, or an op the engine would
-    reject (out-of-range index). *)
+(** One-shot {!resolve_deltas} (with an index built for the call)
+    followed by [Delta.apply_all] on [nb]'s graph: the ops and the
+    fully evolved schema with its name tables. *)
 
 val query_of_string :
   string -> (string list * (string * string) list, error) result
 (** The interface's tiny query language:
     [connect emp, manager where dept = toys and floor = 1] returns the
     object names and the equality selections. *)
-
-val name_set : named_bigraph -> string list -> (Iset.t, string) result
-(** Resolve a list of names to underlying indices; [Error name] on the
-    first unknown one. *)
 
 val bigraph_to_string : named_bigraph -> string
 (** Inverse of {!bigraph_of_string}. Names are spread over repeated

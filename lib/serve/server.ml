@@ -45,8 +45,15 @@ let default_config =
 (* The schema of record. Immutable as a value — a delta builds a new
    state and swaps the cell, so an inflight request keeps answering
    against the plan it started with while new requests pick up the
-   evolved one at their next dispatch. *)
-type plan_state = { nb : Parse.named_bigraph; compiled : Compiled.t }
+   evolved one at their next dispatch. [nb.graph] is [compiled.graph]
+   (one CSR, not two equal copies), and [names] indexes [nb]'s names:
+   built once, never written after, so handler threads read it without
+   a lock. *)
+type plan_state = {
+  nb : Parse.named_bigraph;
+  compiled : Compiled.t;
+  names : Parse.Names.t;
+}
 
 type t = {
   cfg : config;
@@ -126,7 +133,13 @@ let create ?(config = default_config) ?cache ?compiled
       Ok
         {
           cfg = config;
-          state = Atomic.make { nb; compiled };
+          state =
+            Atomic.make
+              {
+                nb = { nb with Parse.graph = Compiled.graph compiled };
+                compiled;
+                names = Parse.Names.build nb;
+              };
           delta_lock = Mutex.create ();
           metrics;
           trace;
@@ -198,7 +211,7 @@ let solve_response t st session body =
       ~headers:(("X-Minconn-Code", "4") :: pressure_headers)
       "error: empty terminal set\n"
   | names -> (
-    match Parse.name_set st.nb names with
+    match Parse.Names.resolve st.names st.nb names with
     | Error n ->
       text 400
         ~headers:(("X-Minconn-Code", "4") :: pressure_headers)
@@ -233,17 +246,17 @@ let solve_response t st session body =
             @ pressure_headers)
           (Render.solution_block st.nb s)))
 
-(* POST /schema/delta: parse the delta file against the current
-   schema of record, patch the compiled plan component-by-component,
-   and publish the evolved state. Writers serialize on [delta_lock];
-   readers are lock-free — an inflight request finishes on the plan
-   it started with, the next request on its connection picks up the
-   swap. *)
+(* POST /schema/delta: resolve the delta file's names against the
+   current schema of record, patch the compiled plan
+   component-by-component — the only edit of the graph — and publish
+   the evolved state. Writers serialize on [delta_lock]; readers are
+   lock-free — an inflight request finishes on the plan it started
+   with, the next request on its connection picks up the swap. *)
 let delta_response t body =
   Mutex.lock t.delta_lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.delta_lock) @@ fun () ->
   let st = Atomic.get t.state in
-  match Parse.deltas_of_string st.nb body with
+  match Parse.resolve_deltas st.names st.nb body with
   | Error e ->
     text 400
       ~headers:
@@ -252,14 +265,17 @@ let delta_response t body =
           ("X-Minconn-Code", string_of_int (Errors.exit_code e));
         ]
       (Render.error_line e)
-  | Ok (ops, nb) -> (
+  | Ok (ops, right_names, names) -> (
     match Compiled.apply_deltas ~metrics:t.metrics st.compiled ops with
     | Error msg ->
       text 400
         ~headers:[ ("X-Minconn-Error", "bad-delta"); ("X-Minconn-Code", "4") ]
         ("error: " ^ msg ^ "\n")
     | Ok (compiled, stats) ->
-      Atomic.set t.state { nb; compiled };
+      let nb =
+        { st.nb with Parse.graph = Compiled.graph compiled; right_names }
+      in
+      Atomic.set t.state { nb; compiled; names };
       Metrics.incr t.c_deltas;
       let fallback = List.exists (fun s -> s.Compiled.fallback) stats in
       let recompiled =

@@ -34,11 +34,15 @@
       flush metrics and traces.
 
     Endpoints: [POST /solve] (body = one terminal set, names separated
-    by commas/whitespace; answer is byte-identical to the CLI batch
-    block for the same query), [POST /schema/delta] (body = a delta
-    file — see {!Mc_io.Parse.deltas_of_string}; patches the compiled
-    plan component-by-component and hot-swaps the schema of record
-    without dropping inflight requests, answering with
+    by commas/whitespace, resolved through the schema's
+    {!Mc_io.Parse.Names} index in O(Σ |name|); answer is
+    byte-identical to the CLI batch block for the same query),
+    [POST /schema/delta] (body = a delta file — see
+    {!Mc_io.Parse.resolve_deltas}; resolves its names through the
+    same index, patches the compiled plan component-by-component — the
+    one edit of the graph — and hot-swaps the schema of record, its
+    plan and its name index together without dropping inflight
+    requests, answering with
     [X-Minconn-Recompiled-Components] and a per-delta summary; [400]
     with [X-Minconn-Error: bad-delta] leaves the schema untouched),
     [GET /metrics] (minconn-metrics/1 JSON), [GET /trace] (NDJSON
@@ -77,8 +81,11 @@ val create :
   ?trace:Observe.Trace.t ->
   Mc_io.Parse.named_bigraph ->
   (t, string) result
-(** Compile (or load from [cache]) the schema once, bind and listen.
-    [compiled] supplies a pre-built plan for [nb] instead — the CLI's
+(** Compile (or load from [cache]) the schema once, build its name
+    index, bind and listen. The schema of record keeps [nb]'s names
+    over the plan's graph, so a loaded plan and [nb.graph] are not both
+    kept alive by the server. [compiled] supplies a pre-built plan for
+    [nb] instead — the CLI's
     [serve --deltas] path hands over the evolved plan it obtained via
     the cache's patch rung. [Error msg] on bind/listen failure. Also
     ignores SIGPIPE process-wide: a dead peer must surface as a typed

@@ -55,6 +55,20 @@ val solve_in :
     both once per component ({!complete_order} builds the default
     order) and skip {!solve}'s per-call component search. *)
 
+val solve_local :
+  ?budget:Runtime.Budget.t ->
+  ?trace:Observe.Trace.t ->
+  ?metrics:Observe.Metrics.t ->
+  Csr.t ->
+  order:int array ->
+  terminals:int array ->
+  Tree.t option
+(** {!solve_in} on a flat adjacency that is the component itself (the
+    query path's local graph, {!Graphs.Csr.induced}), with [order] and
+    [terminals] in local node ids. Same tree, span, metrics and budget
+    checks as {!solve_in}; the elimination runs on flat arrays
+    ({!Cover.eliminate_local}). *)
+
 val complete_order : comp:Iset.t -> int list option -> int list
 (** [complete_order ~comp order] appends the nodes of [comp] missing
     from [order] in increasing id order — the completion {!solve}

@@ -61,36 +61,99 @@ let side_minimum_brute g ~within ~p ~side =
   | [] -> None
   | l -> Some (List.fold_left min max_int l)
 
-let elimination_pass ?order ?(budget = Runtime.Budget.unlimited)
-    ?(steps = Observe.Metrics.inert) g ~p current =
-  let order =
-    match order with Some o -> o | None -> Iset.elements current
+(* The elimination over a flat adjacency, every node initially in the
+   cover: [alive] marks the current cover, and each candidate removal is
+   tested by one BFS over the alive nodes with an epoch-stamped visited
+   array, so a pass allocates nothing. [feasible = false] (some terminal
+   lies outside the graph) makes every candidate fail, as [is_cover]
+   does on the set-based path. *)
+let eliminate_local ?(budget = Runtime.Budget.unlimited)
+    ?(steps = Observe.Metrics.inert) ?(once = false) ?(feasible = true) c
+    ~order ~terminal =
+  let k = Csr.n c in
+  let row = Csr.rows c and col = Csr.cols c in
+  let alive = Array.make k true and size = ref k in
+  let stamp = Array.make k 0 and epoch = ref 0 in
+  let queue = Array.make (max k 1) 0 in
+  let connected () =
+    if !size = 0 then true
+    else begin
+      incr epoch;
+      let s = ref 0 in
+      while not alive.(!s) do
+        incr s
+      done;
+      stamp.(!s) <- !epoch;
+      queue.(0) <- !s;
+      let head = ref 0 and tail = ref 1 in
+      while !head < !tail do
+        let u = queue.(!head) in
+        incr head;
+        for p = row.(u) to row.(u + 1) - 1 do
+          let v = col.(p) in
+          if alive.(v) && stamp.(v) <> !epoch then begin
+            stamp.(v) <- !epoch;
+            queue.(!tail) <- v;
+            incr tail
+          end
+        done
+      done;
+      !tail = !size
+    end
   in
-  List.fold_left
-    (fun current v ->
-      if Iset.mem v p || not (Iset.mem v current) then current
-      else begin
-        Runtime.Budget.check budget;
-        Observe.Metrics.incr steps;
-        let candidate = Iset.remove v current in
-        if is_cover g ~p candidate then candidate else current
-      end)
-    current order
+  let pass () =
+    let changed = ref false in
+    Array.iter
+      (fun v ->
+        if (not terminal.(v)) && alive.(v) then begin
+          Runtime.Budget.check budget;
+          Observe.Metrics.incr steps;
+          alive.(v) <- false;
+          decr size;
+          if feasible && connected () then changed := true
+          else begin
+            alive.(v) <- true;
+            incr size
+          end
+        end)
+      order;
+    !changed
+  in
+  (* One pass in the given order is not enough for nonredundancy: a
+     node may be kept only because it connects a non-terminal that is
+     itself deleted later in the pass (covers must be connected as a
+     whole, Definition 10). Re-scan until a fixpoint, as Theorem 5's
+     claim that Step 1 yields a nonredundant cover requires. *)
+  if once then ignore (pass () : bool) else while pass () do () done;
+  alive
+
+let eliminate ~once ?order ?budget ?steps g ~within ~p =
+  let c, ids = Csr.of_ugraph_within g within in
+  let order =
+    match order with Some o -> o | None -> Iset.elements within
+  in
+  let order =
+    Array.of_list
+      (List.filter_map
+         (fun v ->
+           let i = Csr.local_index ids v in
+           if i >= 0 then Some i else None)
+         order)
+  in
+  let terminal = Array.map (fun v -> Iset.mem v p) ids in
+  let alive =
+    eliminate_local ?budget ?steps ~once ~feasible:(Iset.subset p within) c
+      ~order ~terminal
+  in
+  let out = ref Iset.empty in
+  Array.iteri (fun i v -> if alive.(i) then out := Iset.add v !out) ids;
+  !out
 
 let eliminate_redundant_once ?order ?budget ?steps g ~within ~p =
-  elimination_pass ?order ?budget ?steps g ~p within
+  eliminate ~once:true ?order ?budget ?steps g ~within ~p
 
-(* One pass in the given order is not enough for nonredundancy: a node
-   may be kept only because it connects a non-terminal that is itself
-   deleted later in the pass (covers must be connected as a whole,
-   Definition 10). Re-scan until a fixpoint, as Theorem 5's claim that
-   Step 1 yields a nonredundant cover requires. *)
 let eliminate_redundant ?order ?budget ?steps g ~within ~p =
-  let rec fixpoint current =
-    let next = elimination_pass ?order ?budget ?steps g ~p current in
-    if Iset.equal next current then current else fixpoint next
-  in
-  fixpoint within
+  eliminate ~once:false ?order ?budget ?steps g ~within ~p
 
 let is_nonredundant_path g path =
   match path with

@@ -58,6 +58,24 @@ val eliminate_redundant :
     state behind — inputs are immutable). [steps] (default inert) is
     bumped once per considered elimination candidate. *)
 
+val eliminate_local :
+  ?budget:Runtime.Budget.t ->
+  ?steps:Observe.Metrics.counter ->
+  ?once:bool ->
+  ?feasible:bool ->
+  Csr.t ->
+  order:int array ->
+  terminal:bool array ->
+  bool array
+(** {!eliminate_redundant} over a flat adjacency whose nodes all start
+    in the cover: scans [order] (local nodes; repeats allowed), skips
+    [terminal] nodes, and returns the surviving cover as marks. [once]
+    stops after one scan ({!eliminate_redundant_once}); [feasible]
+    (default [true]) is [false] when some terminal lies outside the
+    graph, in which case no removal ever leaves a cover. Each candidate
+    costs one BFS over flat arrays; budget checks and [steps] bumps are
+    those of the set-based scan. *)
+
 val is_nonredundant_path : Ugraph.t -> int list -> bool
 (** The path's node set induces a nonredundant cover of its two
     endpoints. *)

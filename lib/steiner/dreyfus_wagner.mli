@@ -38,3 +38,17 @@ val optimum_nodes :
   terminals:Iset.t ->
   int option
 (** Just the optimal node count. *)
+
+val solve_local :
+  ?budget:Runtime.Budget.t ->
+  ?trace:Observe.Trace.t ->
+  ?metrics:Observe.Metrics.t ->
+  Csr.t ->
+  terminals:int array ->
+  Tree.t option
+(** {!solve} on a flat adjacency whose every node is in play — the
+    query path's local component graph ({!Graphs.Csr.induced}).
+    [terminals] is ascending and duplicate-free. Same tree, budget
+    checks, span and histogram as {!solve} on the same graph; the DP
+    table, reconstruction tags and bucket queue are flat int arrays,
+    and distances are computed from the terminals only. *)

@@ -1,25 +1,53 @@
 open Graphs
 
+(* In a tree the minimal connection is the union of the pairwise
+   terminal paths: prune non-terminal leaves until none is left. The
+   pruned set is unique, so a worklist of current leaves over a flat
+   degree array reaches the set that pruning round by round does. *)
+let solve_local c ~terminals =
+  let k = Csr.n c in
+  if Array.length terminals = 0 then Some Tree.empty
+  else if Csr.m c <> k - 1 then None
+  else begin
+    let row = Csr.rows c and col = Csr.cols c in
+    let alive = Array.make k true and terminal = Array.make k false in
+    Array.iter (fun v -> terminal.(v) <- true) terminals;
+    let degree = Array.init k (fun u -> row.(u + 1) - row.(u)) in
+    let leaves = Array.make k 0 and tail = ref 0 in
+    for u = 0 to k - 1 do
+      if (not terminal.(u)) && degree.(u) <= 1 then begin
+        leaves.(!tail) <- u;
+        incr tail
+      end
+    done;
+    let head = ref 0 in
+    while !head < !tail do
+      let u = leaves.(!head) in
+      incr head;
+      alive.(u) <- false;
+      for p = row.(u) to row.(u + 1) - 1 do
+        let v = col.(p) in
+        if alive.(v) then begin
+          degree.(v) <- degree.(v) - 1;
+          if (not terminal.(v)) && degree.(v) = 1 then begin
+            leaves.(!tail) <- v;
+            incr tail
+          end
+        end
+      done
+    done;
+    Tree.of_csr_subset c ~inside:(Array.get alive)
+  end
+
 let solve g ~terminals =
   if Iset.is_empty terminals then Some Tree.empty
   else
     match Traverse.component_containing g terminals with
     | None -> None
     | Some comp ->
-      if not (Cycles.is_acyclic ~within:comp g) then None
-      else begin
-        (* In a tree, the minimal connection is the union of pairwise
-           paths; equivalently, prune non-terminal leaves repeatedly. *)
-        let rec prune nodes =
-          let removable =
-            Iset.filter
-              (fun v ->
-                (not (Iset.mem v terminals))
-                && Iset.cardinal (Ugraph.adj_within g ~within:nodes v) <= 1)
-              nodes
-          in
-          if Iset.is_empty removable then nodes
-          else prune (Iset.diff nodes removable)
-        in
-        Tree.of_node_set g (prune comp)
-      end
+      let c, ids = Csr.of_ugraph_within g comp in
+      let terminals =
+        Array.of_list
+          (List.map (Csr.local_index ids) (Iset.elements terminals))
+      in
+      Option.map (Tree.lift ids) (solve_local c ~terminals)

@@ -9,3 +9,10 @@ val solve : Ugraph.t -> terminals:Iset.t -> Tree.t option
 (** [None] when the graph restricted to the terminals' component is not
     a tree (callers guard with {!Graphs.Cycles.is_acyclic}) or the
     terminals are disconnected. *)
+
+val solve_local : Csr.t -> terminals:int array -> Tree.t option
+(** {!solve} on a connected flat adjacency holding the terminals — the
+    query path's local component graph ({!Graphs.Csr.induced}) — with
+    local [terminals]: an edge count for acyclicity and a leaf worklist
+    over a degree array. [None] when the graph is not a tree. Same tree
+    as {!solve}. *)

@@ -16,6 +16,57 @@ let of_node_set g nodes =
   | Some edges -> Some { nodes; edges }
   | None -> None
 
+(* The BFS spanning forest of [Spanning.spanning_forest] — roots in
+   ascending order, neighbors ascending, edges in discovery order — over
+   flat arrays: the edges are buffered in two int arrays and consed
+   back to front, so nothing is reversed or rebuilt. *)
+let of_csr_subset c ~inside =
+  let k = Csr.n c in
+  let row = Csr.rows c and col = Csr.cols c in
+  let seen = Array.make k false and queue = Array.make (max k 1) 0 in
+  let eu = Array.make (max k 1) 0 and ev = Array.make (max k 1) 0 in
+  let ne = ref 0 and size = ref 0 and nodes = ref Iset.empty in
+  for s = 0 to k - 1 do
+    if inside s then begin
+      incr size;
+      nodes := Iset.add s !nodes;
+      if not seen.(s) then begin
+        seen.(s) <- true;
+        queue.(0) <- s;
+        let head = ref 0 and tail = ref 1 in
+        while !head < !tail do
+          let u = queue.(!head) in
+          incr head;
+          for p = row.(u) to row.(u + 1) - 1 do
+            let v = col.(p) in
+            if (not seen.(v)) && inside v then begin
+              seen.(v) <- true;
+              eu.(!ne) <- u;
+              ev.(!ne) <- v;
+              incr ne;
+              queue.(!tail) <- v;
+              incr tail
+            end
+          done
+        done
+      end
+    end
+  done;
+  if !ne <> max 0 (!size - 1) then None
+  else begin
+    let edges = ref [] in
+    for e = !ne - 1 downto 0 do
+      edges := (eu.(e), ev.(e)) :: !edges
+    done;
+    Some { nodes = !nodes; edges = !edges }
+  end
+
+let lift ids t =
+  {
+    nodes = Iset.map (fun v -> ids.(v)) t.nodes;
+    edges = List.map (fun (a, b) -> (ids.(a), ids.(b))) t.edges;
+  }
+
 let spanning_with_leaves_in g ~nodes ~terminals =
   let all_edges =
     List.filter

@@ -22,6 +22,19 @@ val verify : Ugraph.t -> terminals:Iset.t -> t -> bool
 val of_node_set : Ugraph.t -> Iset.t -> t option
 (** Spanning tree of the induced subgraph, when connected. *)
 
+val of_csr_subset : Csr.t -> inside:(int -> bool) -> t option
+(** [of_node_set] over a flat adjacency: the spanning tree of the nodes
+    satisfying [inside], when they induce a connected subgraph. The
+    same BFS as {!Graphs.Spanning.spanning_tree} (roots and neighbors
+    ascending, edges in discovery order), so on a monotone renumbering
+    of a set-based graph it returns the renumbered tree. Allocates the
+    tree and four node-sized int arrays, nothing per step. *)
+
+val lift : int array -> t -> t
+(** [lift ids t] renames every node [v] of [t] to [ids.(v)] — from a
+    local graph ({!Graphs.Csr.induced}) back to the graph it came
+    from. *)
+
 val spanning_with_leaves_in : Ugraph.t -> nodes:Iset.t -> terminals:Iset.t -> t option
 (** A spanning tree of the induced subgraph on [nodes] in which every
     leaf is a terminal, if one exists. Used to rank alternative query

@@ -247,6 +247,139 @@ let prop_algorithm1_equal =
         && r.Algorithm1.elimination_order = r'.Algorithm1.elimination_order
       | Ok _, Error _ | Error _, Ok _ -> false)
 
+(* ------------------------------------------------------ query rungs *)
+
+module Rungs = Oracle.Set_rungs
+
+let same_tree a b =
+  match (a, b) with
+  | None, None -> true
+  | Some t, Some t' ->
+    Iset.equal t.Tree.nodes t'.Tree.nodes && t.Tree.edges = t'.Tree.edges
+  | _ -> false
+
+let random_subset rng set ~p =
+  Iset.filter (fun _ -> Workloads.Rng.bool rng p) set
+
+let fuel () = Runtime.Budget.make ~fuel:max_int ()
+
+(* Dreyfus–Wagner on random graphs (often disconnected), with and
+   without a [within] restriction; on connected graphs the flat DP
+   also spends exactly the reference's budget checks. *)
+let prop_dw_equal =
+  QCheck2.Test.make ~count:500 ~name:"flat Dreyfus-Wagner = set-based tree"
+    seed_gen
+    (fun seed ->
+      let rng = Workloads.Rng.make ~seed in
+      let connected = seed mod 3 = 0 in
+      let g =
+        if connected then
+          Workloads.Gen_graph.random_connected rng
+            ~n:(1 + Workloads.Rng.int rng 10)
+            ~extra_edges:(Workloads.Rng.int rng 8)
+        else graph_of_seed ~max_n:10 seed
+      in
+      let all = Ugraph.nodes g in
+      let within =
+        if connected || Workloads.Rng.bool rng 0.5 then None
+        else Some (random_subset rng all ~p:0.8)
+      in
+      let terminals =
+        random_subset rng (Option.value within ~default:all) ~p:0.35
+      in
+      let b = fuel () and b' = fuel () in
+      same_tree
+        (Dreyfus_wagner.solve ?within ~budget:b g ~terminals)
+        (Rungs.dw_solve ?within ~budget:b' g ~terminals)
+      && ((not connected)
+         || Runtime.Budget.spent b = Runtime.Budget.spent b'))
+
+(* The elimination scan and its fixpoint, in random orders that may
+   repeat nodes or name nodes outside [within], with terminals that
+   may stick out of [within]: same survivors, same budget checks. *)
+let prop_elimination_equal =
+  QCheck2.Test.make ~count:500
+    ~name:"flat elimination fixpoint = set-based survivors" seed_gen
+    (fun seed ->
+      let rng = Workloads.Rng.make ~seed in
+      let g = graph_of_seed ~max_n:11 seed in
+      let n = Ugraph.n g in
+      let within =
+        if Workloads.Rng.bool rng 0.5 then Ugraph.nodes g
+        else random_subset rng (Ugraph.nodes g) ~p:0.8
+      in
+      let p =
+        if Workloads.Rng.bool rng 0.8 then random_subset rng within ~p:0.3
+        else random_subset rng (Ugraph.nodes g) ~p:0.3
+      in
+      let order =
+        if Workloads.Rng.bool rng 0.3 then None
+        else
+          Some
+            (List.init (Workloads.Rng.int rng (2 * n + 1)) (fun _ ->
+                 Workloads.Rng.int rng n))
+      in
+      List.for_all
+        (fun (flat, sets) ->
+          let b = fuel () and b' = fuel () in
+          Iset.equal
+            (flat ?order ?budget:(Some b) ?steps:None g ~within ~p)
+            (sets ?order ?budget:(Some b') ?steps:None g ~within ~p)
+          && Runtime.Budget.spent b = Runtime.Budget.spent b')
+        [
+          (Cover.eliminate_redundant, Rungs.eliminate_redundant);
+          (Cover.eliminate_redundant_once, Rungs.eliminate_redundant_once);
+        ])
+
+(* Algorithm 2 on the terminals' component (or, now and then, on an
+   arbitrary node set), as the query path calls it. *)
+let prop_algorithm2_equal =
+  QCheck2.Test.make ~count:500 ~name:"flat Algorithm 2 = set-based tree"
+    seed_gen
+    (fun seed ->
+      let rng = Workloads.Rng.make ~seed in
+      let g = graph_of_seed ~max_n:11 seed in
+      let p = random_subset rng (Ugraph.nodes g) ~p:0.3 in
+      let comp =
+        match Traverse.component_containing g p with
+        | Some c when Workloads.Rng.bool rng 0.8 -> c
+        | _ -> random_subset rng (Ugraph.nodes g) ~p:0.7
+      in
+      let order =
+        Algorithm2.complete_order ~comp
+          (Some (Workloads.Rng.shuffle rng (Iset.elements comp)))
+      in
+      same_tree
+        (Algorithm2.solve_in g ~comp ~order ~p)
+        (Rungs.algorithm2_solve_in g ~comp ~order ~p))
+
+(* The forest prune on random forests (in class) and random graphs
+   (mostly out of class: [None] from both). *)
+let prop_forest_equal =
+  QCheck2.Test.make ~count:500 ~name:"flat forest prune = set-based tree"
+    seed_gen
+    (fun seed ->
+      let rng = Workloads.Rng.make ~seed in
+      let g =
+        if seed mod 2 = 0 then graph_of_seed ~max_n:10 seed
+        else
+          let t =
+            Workloads.Gen_graph.random_tree rng
+              ~n:(1 + Workloads.Rng.int rng 12)
+          in
+          (* Cut a few edges: a forest, so terminals may be
+             disconnected. *)
+          List.fold_left
+            (fun t (u, v) ->
+              if Workloads.Rng.bool rng 0.15 then Ugraph.remove_edge t u v
+              else t)
+            t (Ugraph.edges t)
+      in
+      let terminals = random_subset rng (Ugraph.nodes g) ~p:0.3 in
+      same_tree
+        (Forest_steiner.solve g ~terminals)
+        (Rungs.forest_solve g ~terminals))
+
 let qcheck_cases =
   [
     prop_bitset_model;
@@ -259,6 +392,10 @@ let qcheck_cases =
     prop_chord_scan_equal;
     prop_edge_mcs_equal;
     prop_algorithm1_equal;
+    prop_dw_equal;
+    prop_elimination_equal;
+    prop_algorithm2_equal;
+    prop_forest_equal;
   ]
 
 let () =

@@ -131,6 +131,162 @@ let test_name_set () =
     | Error "zz" -> check "unknown reported" true true
     | _ -> Alcotest.fail "expected unknown name")
 
+(* ------------------------------------------- name index vs the scan *)
+
+module Parse = Mc_io.Parse
+module Scan = Oracle.Name_scan
+
+let op_equal a b =
+  let module D = Bipartite.Delta in
+  match (a, b) with
+  | D.Add_relation s, D.Add_relation s' -> Iset.equal s s'
+  | D.Add_relation _, _ | _, D.Add_relation _ -> false
+  | _ -> a = b
+
+(* Names come from a small pool, so schemas repeat names within and
+   across sides (the record can be built by hand; the file parser
+   rejects duplicates) and directives hit known, removed, re-added and
+   unknown names alike. *)
+let pool = [| "a"; "b"; "c"; "r"; "s"; "t"; "u"; "x0"; "x1"; "x2"; "zz" |]
+
+let random_schema st =
+  let pick () = pool.(Random.State.int st 7) in
+  let nl = Random.State.int st 6 and nr = Random.State.int st 6 in
+  let left_names = Array.init nl (fun _ -> pick ()) in
+  let right_names = Array.init nr (fun _ -> pick ()) in
+  let edges = ref [] in
+  for i = 0 to nl - 1 do
+    for j = 0 to nr - 1 do
+      if Random.State.int st 3 = 0 then edges := (i, j) :: !edges
+    done
+  done;
+  {
+    Parse.graph = Bipartite.Bigraph.of_edges ~nl ~nr !edges;
+    left_names;
+    right_names;
+  }
+
+let random_directive st =
+  let name () = pool.(Random.State.int st (Array.length pool)) in
+  match Random.State.int st 5 with
+  | 0 -> Scan.Add_edge (name (), name ())
+  | 1 -> Scan.Remove_edge (name (), name ())
+  | 2 | 3 ->
+    let attrs = List.init (Random.State.int st 3) (fun _ -> name ()) in
+    Scan.Add_relation (name (), attrs)
+  | _ -> Scan.Remove_relation (name ())
+
+let resolves_like_scan names nb =
+  Array.for_all
+    (fun n ->
+      match (Parse.Names.resolve names nb [ n ], Scan.name_set nb [ n ]) with
+      | Ok s, Ok s' -> Iset.equal s s'
+      | Error e, Error e' -> e = e'
+      | _ -> false)
+    pool
+  &&
+  let all = Array.to_list pool in
+  match (Parse.Names.resolve names nb all, Scan.name_set nb all) with
+  | Ok s, Ok s' -> Iset.equal s s'
+  | Error e, Error e' -> e = e'
+  | _ -> false
+
+(* A server's life in miniature: the index is built once and carried
+   through successive delta files, rejected files leave the state as it
+   was, and after every file each name resolves as the linear scan
+   resolves it on the same evolved schema. *)
+let prop_index_matches_scan =
+  QCheck2.Test.make ~count:500 ~name:"name index = linear scan under deltas"
+    QCheck2.Gen.(int_range 0 1_000_000)
+    (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let nb0 = random_schema st in
+      let rec go nb names files =
+        resolves_like_scan names nb
+        &&
+        match files with
+        | [] -> true
+        | directives :: rest -> (
+          let text =
+            String.concat "\n" ("deltas" :: List.map Scan.to_line directives)
+          in
+          match
+            (Parse.resolve_deltas names nb text, Scan.deltas nb directives)
+          with
+          | Ok (ops, right_names, names'), Ok (ops', nb') ->
+            let graph =
+              match Bipartite.Delta.apply_all nb.Parse.graph ops with
+              | Ok g -> g
+              | Error msg -> QCheck2.Test.fail_reportf "apply_all: %s" msg
+            in
+            List.length ops = List.length ops'
+            && List.for_all2 op_equal ops ops'
+            && right_names = nb'.Parse.right_names
+            && Bipartite.Bigraph.equal graph nb'.Parse.graph
+            && go { nb with Parse.graph; right_names } names' rest
+          | Error (Runtime.Errors.Parse_error { line; _ }), Error k ->
+            line = k + 1 && go nb names rest
+          | _ -> false)
+      in
+      go nb0 (Parse.Names.build nb0)
+        (List.init
+           (1 + Random.State.int st 4)
+           (fun _ ->
+             List.init
+               (1 + Random.State.int st 5)
+               (fun _ -> random_directive st))))
+
+(* Past the scan bound of appended relations the next file rebuilds
+   the index; interior and last removals then keep resolving like the
+   scan. *)
+let test_index_long_tail () =
+  let nb0 =
+    {
+      Parse.graph = Bipartite.Bigraph.of_edges ~nl:2 ~nr:2 [ (0, 0); (1, 1) ];
+      left_names = [| "a"; "b" |];
+      right_names = [| "r"; "s" |];
+    }
+  in
+  let adds =
+    List.init 100 (fun k -> Scan.Add_relation (Printf.sprintf "n%d" k, [ "a" ]))
+  in
+  let step (nb, names) directives =
+    let text =
+      String.concat "\n" ("deltas" :: List.map Scan.to_line directives)
+    in
+    match (Parse.resolve_deltas names nb text, Scan.deltas nb directives) with
+    | Ok (ops, right_names, names'), Ok (_, nb') ->
+      check "evolved names match the scan" true
+        (right_names = nb'.Parse.right_names);
+      let graph =
+        match Bipartite.Delta.apply_all nb.Parse.graph ops with
+        | Ok g -> g
+        | Error msg -> Alcotest.fail msg
+      in
+      let nb = { nb with Parse.graph; right_names } in
+      List.iter
+        (fun n ->
+          check ("resolves " ^ n) true
+            (match
+               (Parse.Names.resolve names' nb [ n ], Scan.name_set nb [ n ])
+             with
+            | Ok s, Ok s' -> Iset.equal s s'
+            | Error e, Error e' -> e = e'
+            | _ -> false))
+        ([ "a"; "b"; "r"; "s"; "zz" ]
+        @ List.init 100 (fun k -> Printf.sprintf "n%d" k));
+      (nb, names')
+    | _ -> Alcotest.fail "delta file rejected"
+  in
+  let st = step (nb0, Parse.Names.build nb0) adds in
+  let st =
+    step st [ Scan.Remove_relation "n99"; Scan.Remove_relation "n98" ]
+  in
+  let st =
+    step st [ Scan.Remove_relation "s"; Scan.Add_relation ("n99", []) ]
+  in
+  ignore (step st [ Scan.Remove_relation "n99"; Scan.Remove_relation "n0" ])
+
 let test_parse_schema () =
   let text = {|
 schema
@@ -252,6 +408,8 @@ let () =
             test_large_hypergraph_round_trip;
           Alcotest.test_case "errors" `Quick test_parse_errors;
           Alcotest.test_case "name set" `Quick test_name_set;
+          Alcotest.test_case "name index long tail" `Quick test_index_long_tail;
+          QCheck_alcotest.to_alcotest prop_index_matches_scan;
           Alcotest.test_case "schema" `Quick test_parse_schema;
           Alcotest.test_case "hypergraph" `Quick test_parse_hypergraph;
           Alcotest.test_case "database" `Quick test_parse_database;

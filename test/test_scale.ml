@@ -270,6 +270,21 @@ let test_component_local_cost () =
       check_int (name ^ ": plan size unchanged by queries") before after)
     Workloads.Gen_scale.[ Forest; Chordal62 ]
 
+(* The rungs run over flat arrays on the local component graph: a warm
+   in-block query on the alpha family (Dreyfus–Wagner) and the
+   chordal62 family (Algorithm 2) allocates the local graph, the DP or
+   elimination arrays and the answer — a few hundred words to a
+   thousand, where the set-based rungs allocated ~15k–28k. *)
+let test_query_allocation () =
+  List.iter
+    (fun fam ->
+      let per_query, _, _ = query_cost fam ~n:10_000 in
+      if per_query > 4000.0 then
+        Alcotest.failf "%s: %.0f minor words per query (bound 4000)"
+          (Workloads.Gen_scale.family_name fam)
+          per_query)
+    Workloads.Gen_scale.[ Alpha; Chordal62 ]
+
 let qcheck_cases =
   [
     prop_csr_of_edges;
@@ -293,6 +308,7 @@ let () =
           Alcotest.test_case "block terminals" `Quick test_block_terminals;
           Alcotest.test_case "component-local query cost" `Quick
             test_component_local_cost;
+          Alcotest.test_case "query allocation" `Quick test_query_allocation;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_cases);
     ]

@@ -227,6 +227,60 @@ let test_schema_delta () =
   Unix.close fd;
   check_int "deltas counted" 1 (counter metrics "serve.deltas")
 
+(* Relation names evolve under /solve's name index: an appended
+   relation resolves, a removed one is unknown again, and after an
+   interior removal renumbers the relations the shifted ones still
+   resolve — each answer matching a fresh compile of the schema the
+   delta files evolve to. *)
+let test_delta_names () =
+  with_server @@ fun nb srv _metrics ->
+  let port = Server.port srv in
+  let fd = connect port in
+  let conn = Http.conn fd in
+  let evolved = ref nb in
+  let delta text =
+    send fd (request ~path:"/schema/delta" text);
+    check_int ("delta applied: " ^ text) 200 (recv conn).Http.code;
+    match Mc_io.Parse.deltas_of_string !evolved text with
+    | Ok (_, nb') -> evolved := nb'
+    | Error e -> Alcotest.fail (Runtime.Errors.to_string e)
+  in
+  let expect_answer terminals =
+    let expected =
+      let session =
+        Minconn.Session.create
+          (Minconn.Compiled.compile !evolved.Mc_io.Parse.graph)
+      in
+      match Mc_io.Parse.name_set !evolved terminals with
+      | Error n -> Alcotest.fail ("unknown terminal " ^ n)
+      | Ok p -> (
+        match Minconn.Session.query session ~p with
+        | Ok s -> Serve.Render.solution_block !evolved s
+        | Error _ -> Alcotest.fail "direct query failed")
+    in
+    let r = post fd conn (String.concat "," terminals) in
+    check_int "solve status" 200 r.Http.code;
+    check_str "answer matches the evolved schema" expected r.Http.resp_body
+  in
+  let expect_unknown name =
+    let r = post fd conn name in
+    check_int "unknown terminal is 400" 400 r.Http.code;
+    check_str "unknown terminal body"
+      (Printf.sprintf "error: unknown terminal %s\n" name)
+      r.Http.resp_body
+  in
+  delta "deltas\n+relation rx A\n+edge C rx\n";
+  expect_answer [ "rx"; "C" ];
+  delta "deltas\n-relation rx\n";
+  expect_unknown "rx";
+  expect_answer [ "A"; "3" ];
+  (* Relation 1 is interior: 2 and 3 move down one index. *)
+  delta "deltas\n-relation 1\n";
+  expect_unknown "1";
+  expect_answer [ "2"; "3" ];
+  expect_answer [ "A"; "B"; "3" ];
+  Unix.close fd
+
 (* -------------------------------------------------------- overload *)
 
 let test_overload_sheds_fast () =
@@ -440,6 +494,8 @@ let () =
           Alcotest.test_case "solve round trip" `Quick test_round_trip;
           Alcotest.test_case "observability endpoints" `Quick test_endpoints;
           Alcotest.test_case "schema delta hot-swap" `Quick test_schema_delta;
+          Alcotest.test_case "delta names resolve through the index" `Quick
+            test_delta_names;
         ] );
       ( "overload",
         [
